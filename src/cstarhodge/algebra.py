@@ -189,12 +189,5 @@ class AlgebraElement:
             out[off : off + n * n, off : off + n * n] = np.kron(blk, np.eye(n))
         return out
 
-    def block_traces(self):
-        """Trace of each block, used for free-rank profiles of projections."""
-        return [complex(np.trace(x)) for x in self.blocks]
-
-    def close_to(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
     def __repr__(self):
         return f"AlgebraElement({self.spec.block_sizes!r}, norm={self.norm():.3g})"

@@ -28,8 +28,8 @@ from .errors import (
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, identity_morphism, morphism_from_concrete, random_morphism, singular_rank
-from .module import ModuleSpec, ModuleVector
+from .hom import Morphism, identity_morphism, random_morphism, singular_rank
+from .module import ModuleSpec, ModuleVector, _reduced, _unreduced
 
 __all__ = [
     "ChainComplex",
@@ -440,19 +440,27 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
 def random_unitary_morphism(module: ModuleSpec, rng: np.random.Generator) -> Morphism:
     """Unitary automorphism: polar factor of a Gaussian morphism.
 
-    The polar factor of an invertible shadow commutes with the algebra action,
-    so pulling it back to an algebra matrix loses only roundoff.  Draws are
-    rejected while the shadow is ill-conditioned to keep that error tiny.
+    The polar factor U_b V_b* of each block matrix R_b = U_b S_b V_b* is a
+    unitary module map.  Draws are rejected while the smallest singular value
+    over all blocks is below 1e-3 times the largest, as for the shadow.
     """
     if module.rank == 0:
         return identity_morphism(module)
     while True:
         g = random_morphism(module, module, rng)
-        mat = g.embed()
-        u, s, vh = np.linalg.svd(mat)
-        if s.size and s[-1] >= 1e-3 * s[0]:
+        svds = [np.linalg.svd(_reduced(tb)) for tb in g.blocks]
+        s = np.concatenate([f.S for f in svds])
+        if s.min() >= 1e-3 * s.max():
             break
-    return morphism_from_concrete(module, module, u @ vh)
+    m = module.rank
+    return Morphism(
+        module,
+        module,
+        [
+            _unreduced(f.U @ f.Vh, m, m, nb)
+            for nb, f in zip(module.algebra.block_sizes, svds)
+        ],
+    )
 
 
 def random_complex(

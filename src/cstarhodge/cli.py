@@ -9,10 +9,11 @@ Subcommands:
 
 Every pass/fail line names the identity it checks by its formula.  Exit code
 0 means all checks passed, 1 means some verified identity or expected value
-failed, 2 means the input could not be parsed or validated.  With
---format json the report is deterministic byte for byte for a fixed seed
-and configuration.  The environment variable HODGE_CSTAR_THREADS caps the
-worker count used by sample scans.
+failed, 2 means the input could not be parsed or validated, or a linear
+algebra routine failed on it.  With --format json the report is
+deterministic byte for byte for a fixed seed and configuration.  The
+environment variable HODGE_CSTAR_THREADS caps the worker count used by
+sample scans.
 """
 
 from __future__ import annotations
@@ -501,6 +502,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as e:
+        print(f"error: numerical failure: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(render(report, config.fmt))
     return 0 if passed else 1

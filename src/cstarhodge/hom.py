@@ -9,13 +9,15 @@ Right multiplication commutes with the left algebra action, so every such map
 is automatically A-linear, and its adjoint for the A-valued inner product is
 the entrywise-starred transpose.
 
-Numerics run on the concrete shadow: flattening each module by
-ModuleVector.vec turns T into a complex (n*d) x (m*d) matrix whose Hermitian
-conjugate represents T*.  The Moore-Penrose pseudoinverse is computed there
-by SVD with a relative cutoff, then pulled back to an algebra matrix by
-orthogonally projecting onto the commutant (blockwise diagonal averaging).
-Acting on the right keeps the pullback exactly A-linear; the tests check the
-re-embedded result against the shadow pseudoinverse directly.
+Numerics run per algebra block.  Over A = sum_b M_{n_b}, T is exactly one
+complex (m*n_b) x (n*n_b) matrix R_b per block (``module._reduced``), and
+composition is one matrix product per block.  Flattening each module by
+ModuleVector.vec turns T into its dense shadow sum_b I_{n_b} (x) R_b^T, so
+the shadow's singular values are those of the R_b, each repeated n_b times,
+and its pseudoinverse is the module map with blocks pinv(R_b).  Rank
+decisions cut at a fraction of the largest singular value over all blocks.
+The shadow (``embed``) and its pullback ``morphism_from_concrete`` stay as
+the oracles the tests check these numerics against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraSpec
 from .errors import SpecMismatch
-from .module import ModuleSpec, ModuleVector
+from .module import ModuleSpec, ModuleVector, _apply, _reduced, _unreduced
 
 __all__ = [
     "Morphism",
@@ -126,14 +128,10 @@ class Morphism:
     def __call__(self, u: ModuleVector) -> ModuleVector:
         if u.module != self.source:
             raise SpecMismatch("vector is not in the source module")
-        blocks = []
-        for ub, tb in zip(u.blocks, self.blocks):
-            if ub.shape[0] == 0:
-                nb = tb.shape[2]
-                blocks.append(np.zeros((self.target.rank, nb, nb), dtype=complex))
-            else:
-                blocks.append(np.einsum("iab,ijbc->jac", ub, tb))
-        return ModuleVector(self.target, tuple(_freeze(b) for b in blocks))
+        return ModuleVector(
+            self.target,
+            tuple(_freeze(_apply(ub, tb)) for ub, tb in zip(u.blocks, self.blocks)),
+        )
 
     def adjoint(self) -> "Morphism":
         """Adjoint for the A-valued inner products: entries (T*)_ji = (t_ij)*."""
@@ -148,9 +146,10 @@ class Morphism:
             return NotImplemented
         if other.target != self.source:
             raise SpecMismatch("composition needs other.target == self.source")
+        m, n = other.source.rank, self.target.rank
         blocks = [
-            np.einsum("ijab,jkbc->ikac", ob, sb)
-            for ob, sb in zip(other.blocks, self.blocks)
+            _unreduced(_reduced(ob) @ _reduced(sb), m, n, nb)
+            for nb, ob, sb in zip(self.algebra.block_sizes, other.blocks, self.blocks)
         ]
         return Morphism(other.source, self.target, blocks)
 
@@ -185,7 +184,8 @@ class Morphism:
 
         The (j, i) block of size d x d is right multiplication by t_ij, i.e.
         the direct sum over algebra blocks of kron(I_nb, t_ij_block^T) in the
-        row-major vec convention.
+        row-major vec convention.  The numerics below never build it; it is
+        the oracle they are tested against.
         """
         if self._embed is None:
             spec = self.algebra
@@ -202,13 +202,26 @@ class Morphism:
             self._embed = _freeze(out)
         return self._embed
 
-    def singular_values(self) -> np.ndarray:
+    # -- per-block numerics ------------------------------------------------------
+
+    def _block_svds(self, compute_uv: bool) -> list:
+        """SVD of each R_b, filling the merged singular value cache on the way."""
+        svds = [
+            np.linalg.svd(_reduced(tb), full_matrices=False, compute_uv=compute_uv)
+            for tb in self.blocks
+        ]
         if self._svals is None:
-            mat = self.embed()
-            if min(mat.shape) == 0:
-                self._svals = np.zeros(0)
-            else:
-                self._svals = _freeze(np.linalg.svd(mat, compute_uv=False))
+            per_block = [f.S if compute_uv else f for f in svds]
+            merged = np.concatenate(
+                [np.repeat(s, nb) for nb, s in zip(self.algebra.block_sizes, per_block)]
+            )
+            self._svals = _freeze(-np.sort(-merged))
+        return svds
+
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the shadow, descending: each block's values n_b times."""
+        if self._svals is None:
+            self._block_svds(compute_uv=False)
         return self._svals
 
     def norm(self) -> float:
@@ -225,16 +238,24 @@ class Morphism:
     # -- pseudoinverse and projections --------------------------------------------
 
     def pseudoinverse(self, cutoff: float = 1e-10) -> "Morphism":
-        """Moore-Penrose pseudoinverse, singular values below cutoff*smax dropped."""
-        mat = self.embed()
-        if min(mat.shape) == 0 or not mat.any():
+        """Moore-Penrose pseudoinverse, singular values at or below cutoff*smax dropped.
+
+        The pseudoinverse of each R_b is taken with the threshold set by the
+        largest singular value over all blocks, so a block whose values all
+        sit below it contributes zero.
+        """
+        svds = self._block_svds(compute_uv=True)
+        s = self.singular_values()
+        if s.size == 0 or s[0] <= 0.0:
             return Morphism.zero(self.target, self.source)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rank, _ = singular_rank(s, cutoff)
-        inv = np.zeros_like(s)
-        inv[:rank] = 1.0 / s[:rank]
-        pinv = (vh.conj().T * inv) @ u.conj().T
-        return morphism_from_concrete(self.target, self.source, pinv)
+        thresh = cutoff * s[0]
+        m, n = self.source.rank, self.target.rank
+        blocks = []
+        for nb, (u, sb, vh) in zip(self.algebra.block_sizes, svds):
+            keep = sb > thresh
+            pinv = (vh[keep].conj().T / sb[keep]) @ u[:, keep].conj().T
+            blocks.append(_unreduced(pinv, n, m, nb))
+        return Morphism(self.target, self.source, blocks)
 
     def kernel_projection(self, cutoff: float = 1e-10) -> "Morphism":
         """Orthogonal projection onto the kernel: module identity minus T+T."""
@@ -252,9 +273,6 @@ class Morphism:
         restricted = self @ identity_morphism(self.source)
         wrapped = identity_morphism(self.target) @ restricted
         return (wrapped - restricted).norm() <= tol
-
-    def close_to(self, other: "Morphism", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
 
     def __repr__(self):
         return (

@@ -12,8 +12,14 @@ which is conjugate-linear in the first slot and satisfies
 Internally a vector keeps one ndarray per algebra block, shaped
 (rank, n_b, n_b), so bulk operations stay vectorized.  ``vec`` flattens a
 vector to C^{rank*d}; under that flattening the complex trace of the
-A-valued inner product becomes the ordinary Hermitian product, which the
-morphism layer uses as its numerical shadow.
+A-valued inner product becomes the ordinary Hermitian product, which makes
+a module map's dense shadow (Morphism.embed) a faithful representation.
+
+A right-acting module map A^m -> A^n is stored as one array per algebra
+block, shaped (m, n, n_b, n_b).  ``_reduced`` turns such a block into the
+complex (m*n_b) x (n*n_b) matrix R_b it amounts to: a vector's block, laid
+out as the n_b x (m*n_b) row matrix U_b, maps to U_b R_b, and composition
+is a product of the R_b.
 """
 
 from __future__ import annotations
@@ -28,13 +34,30 @@ __all__ = [
     "ModuleVector",
     "act",
     "inner_product",
-    "orthogonal_check",
 ]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _reduced(block: np.ndarray) -> np.ndarray:
+    """Module map block (m, n, nb, nb) as its (m*nb) x (n*nb) matrix R_b."""
+    m, n, nb, _ = block.shape
+    return block.transpose(0, 2, 1, 3).reshape(m * nb, n * nb)
+
+
+def _unreduced(mat: np.ndarray, m: int, n: int, nb: int) -> np.ndarray:
+    """Inverse of _reduced: an (m*nb) x (n*nb) matrix as a block (m, n, nb, nb)."""
+    return mat.reshape(m, nb, n, nb).transpose(0, 2, 1, 3)
+
+
+def _apply(ub: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Vector block (m, nb, nb) times module map block (m, n, nb, nb), shaped (n, nb, nb)."""
+    m, n, nb, _ = block.shape
+    rows = ub.transpose(1, 0, 2).reshape(nb, m * nb) @ _reduced(block)
+    return np.ascontiguousarray(rows.reshape(nb, n, nb).transpose(1, 0, 2))
 
 
 def _entry_blocks(spec: AlgebraSpec, rank: int, entries) -> tuple:
@@ -94,8 +117,8 @@ class ModuleSpec:
             adj = np.conj(np.transpose(p, (1, 0, 3, 2)))
             if p.size and np.abs(p - adj).max() > tol:
                 raise SpecMismatch("projection is not self-adjoint")
-            sq = np.einsum("ijab,jkbc->ikac", p, p)
-            if p.size and np.abs(sq - p).max() > tol:
+            r = _reduced(p)
+            if p.size and np.abs(r @ r - r).max() > tol:
                 raise SpecMismatch("projection is not idempotent")
 
     def __eq__(self, other):
@@ -177,8 +200,7 @@ class ModuleSpec:
         if self.projection is None:
             return u
         blocks = tuple(
-            _freeze(np.einsum("iab,ijbc->jac", ub, pb))
-            for ub, pb in zip(u.blocks, self.projection)
+            _freeze(_apply(ub, pb)) for ub, pb in zip(u.blocks, self.projection)
         )
         return ModuleVector(self, blocks)
 
@@ -266,9 +288,6 @@ class ModuleVector:
                 out[i * d + off : i * d + off + n * n] = blk[i].reshape(-1)
         return out
 
-    def close_to(self, other: "ModuleVector", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
     def __repr__(self):
         return f"ModuleVector(rank={self.module.rank}, norm={self.norm():.3g})"
 
@@ -296,7 +315,3 @@ def inner_product(u: ModuleVector, v: ModuleVector) -> AlgebraElement:
             out.append(np.einsum("iab,icb->ac", vb, np.conj(ub)))
     return AlgebraElement(u.module.algebra, out, copy=False)
 
-
-def orthogonal_check(u: ModuleVector, v: ModuleVector, tol: float = 1e-9) -> bool:
-    """True when the A-valued inner product vanishes within tol."""
-    return inner_product(u, v).norm() <= tol

@@ -8,14 +8,16 @@ Conventions, shared by every format:
   module map matrix nested rows x cols of algebra elements (rows = source)
   morphism          {"source": module, "target": module, "matrix": matrix}
 
-Loading validates shapes and value types and raises ValidationError with the
-offending location; malformed JSON raises ParseError.  Saving normalizes
-floats to 17 significant digits, so save/load round-trips are exact.
+Loading validates shapes, value types and finiteness and raises
+ValidationError with the offending location; malformed JSON raises
+ParseError.  Saving normalizes floats to 17 significant digits, so save/load
+round-trips are exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -77,7 +79,13 @@ def _get(data, key: str, where: str):
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(where, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(where, f"expected a finite number, got {x!r}")
+    return x
 
 
 def _complex_from(v, where: str) -> complex:

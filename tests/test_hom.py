@@ -103,8 +103,8 @@ def test_moore_penrose_identities():
 
 
 def test_pseudoinverse_is_module_map():
-    # the dense pinv of a block-structured shadow stays in the commutant,
-    # so pulling it back and re-embedding reproduces it exactly
+    # the per-block pseudoinverse is a module map: its shadow is the dense
+    # pinv of the shadow, and it commutes with the left algebra action
     alg = AlgebraSpec((2, 2))
     src, tgt = ModuleSpec(alg, 2), ModuleSpec(alg, 3)
     rng = rng_for(2, "hom-mod", 0)
@@ -184,3 +184,112 @@ def test_projective_morphism_respects_projection():
     rng = rng_for(2, "hom-resp", 0)
     t = random_morphism(mod, free, rng)
     assert t.respects_projections()
+
+
+# -- per-block numerics against the dense shadow --------------------------------------
+
+ORACLE_ALGEBRAS = [(1,), (2,), (1, 2), (2, 2), (3,)]
+
+
+def _projective(alg, rank, rng):
+    """Projective module: a unitary conjugate of a diagonal of algebra projections."""
+    from cstarhodge.chain import random_unitary_morphism
+
+    free = ModuleSpec(alg, rank)
+    diag = []
+    for nb in alg.block_sizes:
+        arr = np.zeros((rank, rank, nb, nb), dtype=complex)
+        for i in range(rank):
+            arr[i, i] = np.diag((np.arange(nb) <= i).astype(float))
+        diag.append(arr)
+    u = random_unitary_morphism(free, rng)
+    p = u @ Morphism(free, free, diag) @ u.adjoint()
+    return ModuleSpec(alg, rank, projection=tuple(p.blocks))
+
+
+def _oracle_cases(alg, rng):
+    """(source, target, morphism) triples: random, rank 0, zero and projective."""
+    mods = [ModuleSpec(alg, r) for r in (0, 1, 2, 3)]
+    mods.append(_projective(alg, 2, rng))
+    cases = []
+    for src in mods:
+        for tgt in mods:
+            cases.append(random_morphism(src, tgt, rng))
+    cases.append(Morphism.zero(mods[2], mods[3]))
+    cases.append(Morphism.zero(mods[4], mods[1]))
+    return cases
+
+
+def _assert_matches_shadow(t, cutoff=1e-10):
+    mat = t.embed()
+    d = t.algebra.dim
+    assert t.singular_values().shape == (min(t.source.rank, t.target.rank) * d,)
+    if min(mat.shape):
+        oracle = np.linalg.svd(mat, compute_uv=False)
+        assert np.allclose(t.singular_values(), oracle, atol=1e-12)
+    scale = max(1.0, t.norm())
+    pinv = t.pseudoinverse(cutoff)
+    assert pinv.source == t.target and pinv.target == t.source
+    assert np.allclose(
+        pinv.embed(), np.linalg.pinv(mat, rcond=cutoff), atol=1e-10 * scale
+    )
+    assert np.allclose(t.adjoint().embed(), mat.conj().T, atol=1e-15)
+
+
+@pytest.mark.parametrize("blocks", ORACLE_ALGEBRAS)
+def test_per_block_numerics_match_shadow(blocks):
+    alg = AlgebraSpec(blocks)
+    rng = rng_for(2, "hom-oracle", len(blocks) * 10 + blocks[0])
+    for t in _oracle_cases(alg, rng):
+        _assert_matches_shadow(t)
+        u = t.source.random_vector(rng)
+        assert np.allclose(t(u).vec(), t.embed() @ u.vec(), atol=1e-12)
+        for s in (random_morphism(t.target, ModuleSpec(alg, 2), rng),
+                  Morphism.zero(t.target, ModuleSpec(alg, 1))):
+            assert np.allclose((s @ t).embed(), s.embed() @ t.embed(), atol=1e-12)
+
+
+def test_pseudoinverse_svals_reuse_and_cache():
+    alg = AlgebraSpec((1, 2))
+    rng = rng_for(2, "hom-reuse", 0)
+    t = random_morphism(ModuleSpec(alg, 3), ModuleSpec(alg, 2), rng)
+    t.pseudoinverse()
+    filled = t.singular_values()
+    fresh = Morphism(t.source, t.target, t.blocks).singular_values()
+    assert np.allclose(filled, fresh, atol=1e-13)
+    assert np.all(np.diff(filled) <= 0.0)
+
+
+def test_pseudoinverse_cutoff_is_global_not_per_block():
+    # block (1,) carries values near 1, block (2,) only values near 1e-12, so
+    # the whole M2 block lies below cutoff * (largest value over all blocks)
+    alg = AlgebraSpec((1, 2))
+    src, tgt = ModuleSpec(alg, 2), ModuleSpec(alg, 3)
+    rng = rng_for(2, "hom-global-cutoff", 0)
+    t = random_morphism(src, tgt, rng)
+    t = Morphism(src, tgt, [t.blocks[0], 1e-12 * np.asarray(t.blocks[1])])
+    cutoff = 1e-10
+    s = t.singular_values()
+    assert s[0] > 0.1 and np.count_nonzero(s > cutoff * s[0]) == 2
+    pinv = t.pseudoinverse(cutoff)
+    assert np.abs(pinv.blocks[1]).max() == 0.0
+    assert np.abs(pinv.blocks[0]).max() > 0.1
+    _assert_matches_shadow(t, cutoff)
+
+
+@pytest.mark.parametrize("blocks", ORACLE_ALGEBRAS)
+def test_random_unitary_is_polar_factor_of_shadow(blocks):
+    from cstarhodge.chain import random_unitary_morphism
+
+    alg = AlgebraSpec(blocks)
+    mod = ModuleSpec(alg, 3)
+    u = random_unitary_morphism(mod, rng_for(2, "hom-polar", 0))
+    assert (u.adjoint() @ u - identity_morphism(mod)).norm() < 1e-12
+    # the same draws, with the rejection test and polar factor on the shadow
+    rng = rng_for(2, "hom-polar", 0)
+    while True:
+        w, s, vh = np.linalg.svd(random_morphism(mod, mod, rng).embed())
+        if s[-1] >= 1e-3 * s[0]:
+            break
+    oracle = morphism_from_concrete(mod, mod, w @ vh)
+    assert (u - oracle).norm() < 1e-12

@@ -216,3 +216,36 @@ def test_module_invocation():
     )
     assert r.returncode == 0, r.stderr
     assert "result: PASS" in r.stdout
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+def test_non_finite_numbers_rejected_at_load(tmp_path, bad, capsys):
+    mod = ModuleSpec(AlgebraSpec((1, 2)), 1)
+    cx = ChainComplex([mod, mod], [identity_morphism(mod)])
+    data = serial.complex_to_data(cx)
+    data["differentials"][0][0][0][1][1][0] = [0.0, bad]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    where = r"differentials\[0\]\[0\]\[0\]\.block1\[1\]\[0\]"
+    with pytest.raises(ValidationError, match=where + ": expected a finite number"):
+        serial.load_complex(path)
+    for cmd in ("hodge", "check-complex"):
+        assert run_cli([cmd, str(path)])[0] == 2
+        assert "finite number" in capsys.readouterr().err
+
+
+def test_cli_maps_linalg_failure_to_exit_2(tmp_path, monkeypatch, capsys):
+    cx, _ = random_complex(rng_for(7, "io-linalg", 0))
+    path = tmp_path / "cx.json"
+    serial.save_complex(path, cx)
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    assert run_cli(["hodge", str(path)])[0] == 2
+    assert "SVD did not converge" in capsys.readouterr().err
