@@ -440,25 +440,30 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
 def random_unitary_morphism(module: ModuleSpec, rng: np.random.Generator) -> Morphism:
     """Unitary automorphism: polar factor of a Gaussian morphism.
 
-    The polar factor U_b V_b* of each block matrix R_b = U_b S_b V_b* is a
-    unitary module map.  Draws are rejected while the smallest singular value
-    over all blocks is below 1e-3 times the largest, as for the shadow.
+    The Gaussian draw is projected onto the module, so each block matrix
+    R_b = U_b S_b V_b* has rank at most r_b = rank P_b (r_b is the size of
+    R_b for a free module).  The polar factor over the first r_b singular
+    triples, U_b[:, :r_b] V_b[:r_b]*, is unitary on the module: both of its
+    products with its adjoint are the projection, the module's identity.
+    Draws are rejected while the smallest of the kept singular values over
+    all blocks is below 1e-3 times the largest.
     """
     if module.rank == 0:
         return identity_morphism(module)
+    m = module.rank
+    ranks = module.block_ranks
     while True:
         g = random_morphism(module, module, rng)
         svds = [np.linalg.svd(_reduced(tb)) for tb in g.blocks]
-        s = np.concatenate([f.S for f in svds])
-        if s.min() >= 1e-3 * s.max():
+        s = np.concatenate([f.S[:r] for f, r in zip(svds, ranks)])
+        if s.size == 0 or s.min() >= 1e-3 * s.max():
             break
-    m = module.rank
     return Morphism(
         module,
         module,
         [
-            _unreduced(f.U @ f.Vh, m, m, nb)
-            for nb, f in zip(module.algebra.block_sizes, svds)
+            _unreduced(f.U[:, :r] @ f.Vh[:r], m, m, nb)
+            for nb, f, r in zip(module.algebra.block_sizes, svds, ranks)
         ],
     )
 

@@ -19,6 +19,7 @@ sample scans.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -63,6 +64,11 @@ class RunConfig:
     fmt: str = "text"
 
     def validate(self):
+        if not (math.isfinite(self.tolerance) and math.isfinite(self.cutoff)):
+            raise ValidationError(
+                f"need finite tolerance and cutoff, got tolerance={self.tolerance:g} "
+                f"cutoff={self.cutoff:g}"
+            )
         if not (self.tolerance > self.cutoff > 0.0):
             raise ValidationError(
                 f"need tolerance > cutoff > 0, got tolerance={self.tolerance:g} "
@@ -368,6 +374,8 @@ def _demo_regularity(geometry: TorusGeometry, args, config: RunConfig) -> dict:
 
 
 def cmd_torus_demo(args, config: RunConfig) -> tuple:
+    if args.t is not None and not math.isfinite(args.t):
+        raise ValidationError(f"need a finite Sobolev index, got --t {args.t:g}")
     rank, blocks = _parse_fiber(args.fiber)
     geometry = TorusGeometry(args.n, args.band, ModuleSpec(AlgebraSpec(blocks), rank))
     suites = ["derham", "embedding", "regularity"] if args.suite == "all" else [args.suite]

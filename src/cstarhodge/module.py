@@ -143,20 +143,30 @@ class ModuleSpec:
         return f"ModuleSpec({tag}rank={self.rank} over {self.algebra.block_sizes})"
 
     @property
+    def block_ranks(self) -> tuple:
+        """Rank of the projection's matrix P_b in each algebra block.
+
+        rank * n_b for a free module.  With a projection present it is the
+        trace of P_b, an integer recovered exactly because P_b is idempotent
+        and self-adjoint.
+        """
+        if self.projection is None:
+            return tuple(self.rank * nb for nb in self.algebra.block_sizes)
+        return tuple(
+            int(round(float(np.trace(np.trace(p, axis1=2, axis2=3)).real)))
+            for p in self.projection
+        )
+
+    @property
     def concrete_dim(self) -> int:
         """Complex dimension of the module's shadow subspace.
 
-        For a free module this is rank * d.  With a projection present it is
-        the rank of the projection's shadow, an integer recovered exactly
-        from block traces because the shadow is idempotent and self-adjoint.
+        For a free module this is rank * d, in general the sum of
+        n_b * rank P_b, since the shadow repeats each block n_b times.
         """
         if self.projection is None:
             return self.rank * self.algebra.dim
-        total = 0.0
-        for nb, p in zip(self.algebra.block_sizes, self.projection):
-            # shadow trace of right multiplication by x is nb * tr(x)
-            total += nb * float(np.trace(np.trace(p, axis1=2, axis2=3)).real)
-        return int(round(total))
+        return sum(nb * r for nb, r in zip(self.algebra.block_sizes, self.block_ranks))
 
     # -- vectors ---------------------------------------------------------------
 

@@ -18,6 +18,7 @@ hard-coded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .chain import ChainComplex, free_rank_of_projection
-from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch
+from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
 from .hom import Morphism, identity_morphism
 from .module import ModuleSpec, ModuleVector
 from .symbol import exterior_basis, form_fiber, wedge_matrix, _scalar_morphism
@@ -52,21 +53,38 @@ __all__ = [
 ]
 
 
+# Distinct (n, t, |alpha|, radius) lattice sums kept; a CLI run needs two.
+LATTICE_CACHE_SIZE = 64
+
+# Largest band (2N + 1)^n a geometry enumerates; larger ones are refused
+# before any mode is listed.
+MAX_MODES = 65536
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 class TorusGeometry:
-    """Torus dimension, Fourier band and fiber module."""
+    """Torus dimension, Fourier band and fiber module.
+
+    Raises ValidationError for a dimension below 1, a negative band limit, or
+    more than MAX_MODES modes, before enumerating anything.
+    """
 
     def __init__(self, dimension: int, band_limit: int, fiber: ModuleSpec):
         n = int(dimension)
         band = int(band_limit)
         if n < 1:
-            raise ValueError("torus dimension must be at least 1")
+            raise ValidationError(f"torus dimension must be at least 1, got {n}")
         if band < 0:
-            raise ValueError("band limit must be nonnegative")
+            raise ValidationError(f"band limit must be nonnegative, got {band}")
+        side = 2 * band + 1
+        # side >= 3 once band > 0, so an exponent of bit_length(cap) already
+        # exceeds the cap; the clamp keeps a huge n from a huge power
+        if side ** min(n, MAX_MODES.bit_length()) > MAX_MODES:
+            raise ValidationError(f"{side}^{n} modes exceed the cap of {MAX_MODES}")
         self.dimension = n
         self.band_limit = band
         self.fiber = fiber
@@ -405,19 +423,35 @@ def norm_equivalence_constants(geometry: TorusGeometry, t: float) -> Equivalence
 # -- the sup-norm constant for derivatives ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _lattice_sum(n: int, t: float, a: int, radius: int) -> float:
-    """sum over |q|_inf <= radius of |q|^{2a} / (1 + |q|^2)^t, sliced on axis 0."""
-    axis = np.arange(-radius, radius + 1, dtype=float)
-    if n == 1:
-        sq = axis**2
-        return float(np.sum(sq**a / (1.0 + sq) ** t))
-    rest = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-    rest_sq = sum(r**2 for r in rest)
-    total = 0.0
-    for first in axis:
-        sq = first**2 + rest_sq
-        total += float(np.sum(sq**a / (1.0 + sq) ** t))
-    return total
+    """sum over |q|_inf <= radius of |q|^{2a} / (1 + |q|^2)^t, by exact counts.
+
+    The summand depends on q only through s = |q|^2, so the sum is
+    sum_s c[s] s^a / (1 + s)^t with c[s] the number of lattice points in the
+    cube with |q|^2 = s.  The counts are built one axis at a time in int64:
+    each axis adds shifted copies of the previous counts, one shift k^2 per
+    coordinate value k (weight 1 for k = 0, 2 for +-k).  Memory is one array
+    of length n radius^2 + 1, never a grid of the cube.  Cached on
+    (n, t, |alpha|, radius), so derivatives of equal order share one sum.
+    """
+    if radius < 0:
+        raise ValueError(f"lattice radius must be nonnegative, got {radius}")
+    if 2 * (2 * radius + 1) ** n > np.iinfo(np.int64).max:
+        raise ValueError(f"{2 * radius + 1}^{n} lattice points overflow exact counts")
+    step = radius * radius
+    counts = np.zeros(n * step + 1, dtype=np.int64)
+    counts[0] = 1
+    top = 0
+    for _ in range(n):
+        grown = counts.copy()
+        for k in range(1, radius + 1):
+            grown[k * k : k * k + top + 1] += 2 * counts[: top + 1]
+        counts = grown
+        top += step
+    s = np.flatnonzero(counts)
+    sf = s.astype(float)
+    return float(np.sum(counts[s] * (sf**a / (1.0 + sf) ** t)))
 
 
 def _tail_bound(n: int, t: float, a: int, radius: int) -> float:
@@ -467,10 +501,10 @@ def derivative_bound_constant(
             "no finite sup-norm constant at this Sobolev index"
         )
     if band is not None:
-        total = _lattice_sum(n, t, a, int(band))
+        total = _lattice_sum(n, float(t), a, int(band))
     else:
         r = int(radius) if radius is not None else 64
-        total = _lattice_sum(n, t, a, r) + _tail_bound(n, t, a, r)
+        total = _lattice_sum(n, float(t), a, r) + _tail_bound(n, t, a, r)
     return float(math.sqrt((2.0 * math.pi) ** (2 * a) * total))
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -292,4 +295,59 @@ def test_random_unitary_is_polar_factor_of_shadow(blocks):
         if s[-1] >= 1e-3 * s[0]:
             break
     oracle = morphism_from_concrete(mod, mod, w @ vh)
+    assert (u - oracle).norm() < 1e-12
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail rather than hang if the body does not return in time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_unitary_on(u, mod):
+    ident = identity_morphism(mod)
+    assert (u.adjoint() @ u - ident).norm() < 1e-12
+    assert (u @ u.adjoint() - ident).norm() < 1e-12
+
+
+def test_random_unitary_on_rank_one_module_over_m2():
+    # a projected Gaussian has trailing singular values exactly 0; a rejection
+    # test over all of them turns down every draw and never returns
+    from cstarhodge.chain import random_unitary_morphism
+
+    p = np.zeros((1, 1, 2, 2), dtype=complex)
+    p[0, 0] = np.diag([1.0, 0.0])
+    mod = ModuleSpec(AlgebraSpec((2,)), 1, projection=(p,))
+    with _deadline(30):
+        u = random_unitary_morphism(mod, rng_for(2, "hom-proj", 0))
+    _assert_unitary_on(u, mod)
+
+
+@pytest.mark.parametrize("blocks", ORACLE_ALGEBRAS)
+def test_random_unitary_on_projective_module_is_polar_factor_of_shadow(blocks):
+    from cstarhodge.chain import random_unitary_morphism
+
+    alg = AlgebraSpec(blocks)
+    mod = _projective(alg, 2, rng_for(2, "hom-proj-module", 0))
+    with _deadline(30):
+        u = random_unitary_morphism(mod, rng_for(2, "hom-proj-polar", 0))
+    _assert_unitary_on(u, mod)
+    # the same draws on the shadow, keeping its first concrete_dim triples
+    k = mod.concrete_dim
+    rng = rng_for(2, "hom-proj-polar", 0)
+    while True:
+        w, s, vh = np.linalg.svd(random_morphism(mod, mod, rng).embed())
+        if s[k - 1] >= 1e-3 * s[0]:
+            break
+    oracle = morphism_from_concrete(mod, mod, w[:, :k] @ vh[:k])
     assert (u - oracle).norm() < 1e-12

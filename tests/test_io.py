@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -249,3 +250,39 @@ def test_cli_maps_linalg_failure_to_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     assert run_cli(["hodge", str(path)])[0] == 2
     assert "SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol", "inf"], ["--tol", "nan"], ["--cutoff", "nan"], ["--cutoff=-inf"]],
+    ids=["tol-inf", "tol-nan", "cutoff-nan", "cutoff-neg-inf"],
+)
+def test_cli_rejects_non_finite_tolerance_and_cutoff(tmp_path, flags, capsys):
+    # with --tol inf two identity differentials (D D = 1) would load as a complex
+    mod = ModuleSpec(AlgebraSpec((1,)), 1)
+    ident = identity_morphism(mod)
+    path = tmp_path / "not_a_complex.json"
+    data = serial.complex_to_data(ChainComplex([mod, mod, mod], [ident, ident], validate=False))
+    path.write_text(json.dumps(data))
+    for cmd in (["hodge", str(path)], ["check-complex", str(path)]):
+        assert run_cli(cmd + flags)[0] == 2
+        assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        (["--n", "0", "--band", "1"], "dimension must be at least 1"),
+        (["--n", "1", "--band", "-1"], "band limit must be nonnegative"),
+        (["--n", "12", "--band", "3"], "7^12 modes exceed the cap"),
+        (["--n", "1", "--band", "1", "--t", "inf"], "finite Sobolev index"),
+    ],
+    ids=["n0", "negative-band", "mode-cap", "t-inf"],
+)
+def test_cli_torus_demo_rejects_bad_geometry(geometry, message, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("modes listed before the arguments were validated")
+
+    monkeypatch.setattr(itertools, "product", no_enumeration)
+    assert run_cli(["torus-demo", "--fiber", "1x1"] + geometry)[0] == 2
+    assert message in capsys.readouterr().err

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cstarhodge.algebra import AlgebraSpec
-from cstarhodge.errors import GeometryMismatch, HypothesisViolated
+from cstarhodge import torus
+from cstarhodge.errors import GeometryMismatch, HypothesisViolated, ValidationError
 from cstarhodge.module import ModuleSpec, inner_product
 from cstarhodge.torus import (
     FourierMultiplier,
@@ -29,6 +30,29 @@ from cstarhodge.torus import (
 from cstarhodge.util import rng_for
 
 SCALAR = ModuleSpec(AlgebraSpec((1,)), 1)
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("modes listed before the geometry was validated")
+
+
+def test_geometry_validation(monkeypatch):
+    monkeypatch.setattr(itertools, "product", _no_enumeration)
+    for n, band in ((0, 1), (-1, 0), (1, -1)):
+        with pytest.raises(ValidationError):
+            TorusGeometry(n, band, SCALAR)
+    for n, band in ((12, 3), (10**9, 1)):
+        with pytest.raises(ValidationError, match="exceed the cap"):
+            TorusGeometry(n, band, SCALAR)
+
+
+def test_mode_cap_boundary(monkeypatch):
+    monkeypatch.setattr(torus, "MAX_MODES", 25)
+    assert TorusGeometry(2, 2, SCALAR).num_modes == 25
+    assert TorusGeometry(1, 12, SCALAR).num_modes == 25
+    for n, band in ((2, 3), (3, 2), (1, 13)):
+        with pytest.raises(ValidationError, match="cap of 25"):
+            TorusGeometry(n, band, SCALAR)
 
 
 def test_mode_enumeration():
@@ -148,6 +172,35 @@ def test_embedding_constant_section():
 
 def test_band_constant_sqrt2():
     assert abs(derivative_bound_constant(1, 1.0, (0,), band=1) - math.sqrt(2.0)) < 1e-14
+
+
+def _brute_lattice_sum(n, t, a, radius):
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    sq = sum(g**2 for g in np.meshgrid(*([axis] * n), indexing="ij"))
+    return float(np.sum(sq**a / (1.0 + sq) ** t))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 2, 5])
+def test_lattice_sum_matches_brute_force(n, radius):
+    for a in (0, 1, 2):
+        for t in (1.5, 4.0):
+            want = _brute_lattice_sum(n, t, a, radius)
+            got = torus._lattice_sum(n, t, a, radius)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # with a = 0 and t = 0 every point weighs 1, so the counts total the cube
+    assert torus._lattice_sum(n, 0.0, 0, radius) == (2 * radius + 1) ** n
+
+
+def test_constant_depends_on_alpha_only_through_order():
+    torus._lattice_sum.cache_clear()
+    for radius, band in ((64, None), (None, 3)):
+        for order in (0, 1, 2):
+            alphas = {a for a in itertools.product(range(order + 1), repeat=3) if sum(a) == order}
+            values = {derivative_bound_constant(3, 5.0, a, radius=radius, band=band) for a in alphas}
+            assert len(values) == 1
+    # one lattice sum per (radius or band, |alpha|), shared by every alpha
+    assert torus._lattice_sum.cache_info().misses == 6
 
 
 def test_full_constant_dominates_band_and_shrinks():
