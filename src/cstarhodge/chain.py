@@ -22,14 +22,15 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import AlgebraElement, AlgebraSpec, _freeze
 from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, identity_morphism, random_morphism, singular_rank
-from .module import ModuleSpec, ModuleVector, _reduced, _unreduced
+from .hom import Morphism, identity_morphism, random_morphism
+from .module import ModuleSpec, ModuleVector
 
 __all__ = [
     "ChainComplex",
@@ -47,17 +48,13 @@ __all__ = [
 def free_rank_of_projection(p: Morphism, tol: float = 1e-8) -> Optional[int]:
     """Free rank read off a projection's block-trace profile.
 
-    The shadow trace of the projection restricted to algebra block b equals
-    rank * n_b^2 exactly when the projected submodule is free of that rank.
-    Returns the common integer when every block agrees, else None.
+    trace(R_b) / n_b is the free rank of the projected submodule in algebra
+    block b when that submodule is free.  Returns the common integer when
+    every block agrees, else None.
     """
-    ratios = []
-    for nb, pb in zip(p.algebra.block_sizes, p.blocks):
-        if p.source.rank == 0:
-            ratios.append(0.0)
-            continue
-        diag = np.einsum("iiab->ab", pb) if pb.shape[0] else np.zeros((nb, nb))
-        ratios.append(float(np.trace(diag).real) / nb)
+    ratios = [
+        float(np.trace(r).real) / nb for nb, r in zip(p.algebra.block_sizes, p.mats)
+    ]
     candidate = int(round(ratios[0]))
     if candidate < 0:
         return None
@@ -261,57 +258,53 @@ class ChainComplex:
 
     # -- harmonic space ------------------------------------------------------------
 
-    def _membership_rows(self, i: int) -> Optional[np.ndarray]:
-        """Rows whose kernel is the projective submodule (None when free)."""
+    def _kernel_rows(self, i: int, ops, cutoff: float) -> list:
+        """Per block, orthonormal rows spanning the vectors of module i all ops kill.
+
+        A vector's block is an n_b x (m n_b) row matrix U_b and a map acts as
+        U_b R_b, so the rows span the left null space of the side-by-side
+        stack [R_b of each op, 1 - P_b], the last only for a projective
+        module.  As in Morphism.pseudoinverse, singular values at or below
+        cutoff times the largest over all blocks count as zero.
+        """
         mod = self.modules[i]
-        if mod.projection is None:
-            return None
-        ident = identity_morphism(mod).embed()
-        return np.eye(ident.shape[0]) - ident
+        svds = []
+        for b, nb in enumerate(self.algebra.block_sizes):
+            cols = [op.mats[b] for op in ops]
+            if mod.projection is not None:
+                cols.append(np.eye(mod.rank * nb) - mod.projection[b])
+            svds.append(np.linalg.svd(np.hstack(cols)))
+        smax = max((f.S[0] for f in svds if f.S.size), default=0.0)
+        return [f.U[:, np.count_nonzero(f.S > cutoff * smax) :].conj().T for f in svds]
 
     def harmonic_basis(self, i: int, cutoff: float = 1e-10) -> list:
-        """Orthonormal concrete basis of Ker L_i inside the module."""
-        lap = self.laplacian(i).embed()
-        rows = [lap]
-        member = self._membership_rows(i)
-        if member is not None:
-            rows.append(member)
-        stack = np.vstack(rows)
+        """Orthonormal concrete basis of Ker L_i inside the module.
+
+        Each null row x of block b gives n_b basis vectors, x placed in one
+        row of that block's row matrix at a time.
+        """
         mod = self.modules[i]
-        if stack.shape[1] == 0:
-            return []
-        if not stack.any():
-            basis = np.eye(stack.shape[1], dtype=complex)
-        else:
-            _, s, vh = np.linalg.svd(stack)
-            rank, _ = singular_rank(s, cutoff)
-            basis = vh[rank:].conj().T
-        return [mod.from_vec(basis[:, k]) for k in range(basis.shape[1])]
+        sizes = self.algebra.block_sizes
+        basis = []
+        for b, rows in enumerate(self._kernel_rows(i, [self.laplacian(i)], cutoff)):
+            nb = sizes[b]
+            for x in rows:
+                for a in range(nb):
+                    blocks = [np.zeros((mod.rank, n, n), dtype=complex) for n in sizes]
+                    blocks[b][:, a, :] = x.reshape(mod.rank, nb)
+                    basis.append(ModuleVector(mod, [_freeze(v) for v in blocks]))
+        return basis
 
     def kernel_intersection_check(self, i: int, cutoff: float = 1e-10) -> dict:
         """Ker L = Ker D intersected with Ker D_prev*, by dimension and residual."""
         lap = self.laplacian(i)
         d_out = self.differential(i)
         d_in_adj = self.differential(i - 1).adjoint()
-        mod_dim = self.modules[i].concrete_dim
-        total = self.modules[i].rank * self.algebra.dim
-
-        nullity_lap = mod_dim - lap.concrete_rank(cutoff)
-
-        rows = [d_out.embed(), d_in_adj.embed()]
-        member = self._membership_rows(i)
-        if member is not None:
-            rows.append(member)
-        stack = np.vstack(rows)
-        if stack.shape[1] == 0:
-            nullity_stack = 0
-        elif not stack.any():
-            nullity_stack = mod_dim
-        else:
-            s = np.linalg.svd(stack, compute_uv=False)
-            rank, _ = singular_rank(s, cutoff)
-            # the membership rows already confine the kernel to the submodule
-            nullity_stack = total - rank
+        nullity_lap = self.modules[i].concrete_dim - lap.concrete_rank(cutoff)
+        rows = self._kernel_rows(i, [d_out, d_in_adj], cutoff)
+        nullity_stack = sum(
+            nb * len(r) for nb, r in zip(self.algebra.block_sizes, rows)
+        )
 
         harmonic = self.harmonic_basis(i, cutoff)
         res_out = max((d_out(h).norm() for h in harmonic), default=0.0)
@@ -450,22 +443,42 @@ def random_unitary_morphism(module: ModuleSpec, rng: np.random.Generator) -> Mor
     """
     if module.rank == 0:
         return identity_morphism(module)
-    m = module.rank
     ranks = module.block_ranks
     while True:
         g = random_morphism(module, module, rng)
-        svds = [np.linalg.svd(_reduced(tb)) for tb in g.blocks]
+        svds = [np.linalg.svd(mat) for mat in g.mats]
         s = np.concatenate([f.S[:r] for f, r in zip(svds, ranks)])
         if s.size == 0 or s.min() >= 1e-3 * s.max():
             break
-    return Morphism(
-        module,
-        module,
-        [
-            _unreduced(f.U[:, :r] @ f.Vh[:r], m, m, nb)
-            for nb, f, r in zip(module.algebra.block_sizes, svds, ranks)
-        ],
-    )
+    return Morphism(module, module, [f.U[:, :r] @ f.Vh[:r] for f, r in zip(svds, ranks)])
+
+
+# Algebras a random generator picks from when none is given.
+ALGEBRA_CATALOG = [(1,), (2,), (1, 2), (2, 2), (3,)]
+
+
+def _pick_algebra(rng: np.random.Generator, algebra: Optional[AlgebraSpec]) -> AlgebraSpec:
+    """algebra itself, or one drawn uniformly from ALGEBRA_CATALOG."""
+    if algebra is not None:
+        return algebra
+    return AlgebraSpec(ALGEBRA_CATALOG[int(rng.integers(len(ALGEBRA_CATALOG)))])
+
+
+def _shift_morphism(
+    source: ModuleSpec, target: ModuleSpec, pairs, rng: np.random.Generator
+) -> Morphism:
+    """Map with entry (i, j) = s u for each (i, j) in pairs, zero elsewhere.
+
+    Per pair, in order, s is drawn uniform in [0.5, 2] and then u a random
+    unitary of the algebra, so every nonzero singular value lies in [0.5, 2].
+    """
+    algebra = source.algebra
+    rows = [[algebra.zero()] * target.rank for _ in range(source.rank)]
+    for i, j in pairs:
+        s = float(rng.uniform(0.5, 2.0))
+        u = algebra.random_unitary(rng)
+        rows[i][j] = AlgebraElement(algebra, [s * ub for ub in u.blocks], copy=False)
+    return Morphism.from_entries(source, target, rows)
 
 
 def random_complex(
@@ -483,11 +496,7 @@ def random_complex(
     singular value in [0.5, 2].  Returns (complex, plan); the plan records
     the planted harmonic free ranks and differential ranks per degree.
     """
-    from .algebra import AlgebraSpec
-
-    if algebra is None:
-        catalog = [(1,), (2,), (1, 2), (2, 2), (3,)]
-        algebra = AlgebraSpec(catalog[int(rng.integers(len(catalog)))])
+    algebra = _pick_algebra(rng, algebra)
 
     count = int(rng.integers(2, max_modules + 1))
     ranks = [int(rng.integers(1, max_rank + 1)) for _ in range(count)]
@@ -508,24 +517,14 @@ def random_complex(
 
     diffs = []
     for i in range(count - 1):
-        shift = Morphism.zero(modules[i], modules[i + 1])
-        blocks = [b.copy() for b in shift.blocks]
         incoming = diff_ranks[i - 1] if i > 0 else 0
-        outgoing = diff_ranks[i]
-        harmonic = ranks[i] - incoming - outgoing
-        next_incoming_start = modules[i + 1].rank - diff_ranks[i] - (
+        harmonic = ranks[i] - incoming - diff_ranks[i]
+        # the image lands just after the next module's harmonic slots
+        next_harmonic = modules[i + 1].rank - diff_ranks[i] - (
             diff_ranks[i + 1] if i + 1 < count - 1 else 0
         )
-        # place the image just after the next module's harmonic slots
-        next_harmonic = next_incoming_start
-        for l in range(outgoing):
-            s = float(rng.uniform(0.5, 2.0))
-            u = algebra.random_unitary(rng)
-            src = harmonic + incoming + l
-            tgt = next_harmonic + l
-            for b, ub in enumerate(u.blocks):
-                blocks[b][src, tgt] = s * ub
-        e = Morphism(modules[i], modules[i + 1], blocks)
+        pairs = [(harmonic + incoming + l, next_harmonic + l) for l in range(diff_ranks[i])]
+        e = _shift_morphism(modules[i], modules[i + 1], pairs, rng)
         diffs.append(units[i + 1] @ e @ units[i].adjoint())
 
     planted = []

@@ -9,24 +9,26 @@ Right multiplication commutes with the left algebra action, so every such map
 is automatically A-linear, and its adjoint for the A-valued inner product is
 the entrywise-starred transpose.
 
-Numerics run per algebra block.  Over A = sum_b M_{n_b}, T is exactly one
-complex (m*n_b) x (n*n_b) matrix R_b per block (``module._reduced``), and
-composition is one matrix product per block.  Flattening each module by
-ModuleVector.vec turns T into its dense shadow sum_b I_{n_b} (x) R_b^T, so
-the shadow's singular values are those of the R_b, each repeated n_b times,
-and its pseudoinverse is the module map with blocks pinv(R_b).  Rank
-decisions cut at a fraction of the largest singular value over all blocks.
-The shadow (``embed``) and its pullback ``morphism_from_concrete`` stay as
-the oracles the tests check these numerics against.
+A map is stored per algebra block.  Over A = sum_b M_{n_b}, T is exactly
+one complex (m*n_b) x (n*n_b) matrix R_b per block (``Morphism.mats``),
+with entry t_ij's block at R_b.reshape(m, n_b, n, n_b)[i, :, j, :]
+(``_entry_view``, which serial's matrix reader and writer share).  Composition is one matrix product per block and the adjoint is the
+conjugate transpose of each R_b.  Flattening each module by ModuleVector.vec
+turns T into its dense shadow sum_b I_{n_b} (x) R_b^T, so the shadow's
+singular values are those of the R_b, each repeated n_b times, and its
+pseudoinverse is the module map with blocks pinv(R_b).  Rank decisions cut
+at a fraction of the largest singular value over all blocks.  The shadow
+(``embed``) and its pullback ``morphism_from_concrete`` stay as the oracles
+the tests check these numerics against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSpec
+from .algebra import AlgebraElement, _freeze
 from .errors import SpecMismatch
-from .module import ModuleSpec, ModuleVector, _apply, _reduced, _unreduced
+from .module import ModuleSpec, ModuleVector, _apply
 
 __all__ = [
     "Morphism",
@@ -37,9 +39,9 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _entry_view(mat: np.ndarray, m: int, n: int, nb: int) -> np.ndarray:
+    """R_b of a map A^m -> A^n as an array (m, nb, n, nb); [i, :, j, :] is entry (i, j)."""
+    return mat.reshape(m, nb, n, nb)
 
 
 def singular_rank(svals: np.ndarray, cutoff: float):
@@ -65,24 +67,28 @@ def singular_rank(svals: np.ndarray, cutoff: float):
 
 
 class Morphism:
-    """Matrix of algebra elements from source to target, acting on the right."""
+    """Module map from source to target: one matrix R_b per algebra block."""
 
-    def __init__(self, source: ModuleSpec, target: ModuleSpec, blocks):
+    def __init__(self, source: ModuleSpec, target: ModuleSpec, mats):
         if source.algebra != target.algebra:
             raise SpecMismatch("source and target live over different algebras")
         self.source = source
         self.target = target
         self.algebra = source.algebra
+        mats = tuple(mats)
+        sizes = self.algebra.block_sizes
+        if len(mats) != len(sizes):
+            raise SpecMismatch(f"{len(mats)} block matrices, expected {len(sizes)}")
         checked = []
-        for nb, arr in zip(self.algebra.block_sizes, blocks):
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != (source.rank, target.rank, nb, nb):
+        for nb, mat in zip(sizes, mats):
+            mat = np.array(mat, dtype=complex, order="C")
+            if mat.shape != (source.rank * nb, target.rank * nb):
                 raise SpecMismatch(
-                    f"block array of shape {arr.shape}, expected "
-                    f"{(source.rank, target.rank, nb, nb)}"
+                    f"block matrix of shape {mat.shape}, expected "
+                    f"{(source.rank * nb, target.rank * nb)}"
                 )
-            checked.append(_freeze(arr.copy()))
-        self.blocks = tuple(checked)
+            checked.append(_freeze(mat))
+        self.mats = tuple(checked)
         self._embed = None
         self._svals = None
 
@@ -95,33 +101,38 @@ class Morphism:
         m, n = source.rank, target.rank
         if len(rows) != m:
             raise SpecMismatch(f"expected {m} rows, got {len(rows)}")
-        blocks = []
-        for b, nb in enumerate(spec.block_sizes):
-            arr = np.zeros((m, n, nb, nb), dtype=complex)
-            for i, row in enumerate(rows):
-                if len(row) != n:
-                    raise SpecMismatch(f"row {i} has {len(row)} entries, expected {n}")
-                for j, e in enumerate(row):
-                    if e.spec != spec:
-                        raise SpecMismatch("entry over a different algebra spec")
-                    arr[i, j] = e.blocks[b]
-            blocks.append(arr)
-        return cls(source, target, blocks)
+        mats = [np.zeros((m * nb, n * nb), dtype=complex) for nb in spec.block_sizes]
+        views = [_entry_view(r, m, n, nb) for nb, r in zip(spec.block_sizes, mats)]
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise SpecMismatch(f"row {i} has {len(row)} entries, expected {n}")
+            for j, e in enumerate(row):
+                if e.spec != spec:
+                    raise SpecMismatch("entry over a different algebra spec")
+                for view, eb in zip(views, e.blocks):
+                    view[i, :, j, :] = eb
+        return cls(source, target, mats)
 
     @classmethod
     def zero(cls, source: ModuleSpec, target: ModuleSpec) -> "Morphism":
-        spec = source.algebra
         return cls(
             source,
             target,
             [
-                np.zeros((source.rank, target.rank, nb, nb), dtype=complex)
-                for nb in spec.block_sizes
+                np.zeros((source.rank * nb, target.rank * nb), dtype=complex)
+                for nb in source.algebra.block_sizes
             ],
         )
 
     def entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.algebra, [b[i, j] for b in self.blocks])
+        m, n = self.source.rank, self.target.rank
+        return AlgebraElement(
+            self.algebra,
+            [
+                _entry_view(r, m, n, nb)[i, :, j, :]
+                for nb, r in zip(self.algebra.block_sizes, self.mats)
+            ],
+        )
 
     # -- algebraic operations ----------------------------------------------------
 
@@ -130,15 +141,12 @@ class Morphism:
             raise SpecMismatch("vector is not in the source module")
         return ModuleVector(
             self.target,
-            tuple(_freeze(_apply(ub, tb)) for ub, tb in zip(u.blocks, self.blocks)),
+            tuple(_freeze(_apply(ub, r)) for ub, r in zip(u.blocks, self.mats)),
         )
 
     def adjoint(self) -> "Morphism":
         """Adjoint for the A-valued inner products: entries (T*)_ji = (t_ij)*."""
-        blocks = [
-            np.conj(np.transpose(tb, (1, 0, 3, 2))) for tb in self.blocks
-        ]
-        return Morphism(self.target, self.source, blocks)
+        return Morphism(self.target, self.source, [r.conj().T for r in self.mats])
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         """self after other: (self @ other)(u) = self(other(u))."""
@@ -146,12 +154,9 @@ class Morphism:
             return NotImplemented
         if other.target != self.source:
             raise SpecMismatch("composition needs other.target == self.source")
-        m, n = other.source.rank, self.target.rank
-        blocks = [
-            _unreduced(_reduced(ob) @ _reduced(sb), m, n, nb)
-            for nb, ob, sb in zip(self.algebra.block_sizes, other.blocks, self.blocks)
-        ]
-        return Morphism(other.source, self.target, blocks)
+        return Morphism(
+            other.source, self.target, [o @ r for o, r in zip(other.mats, self.mats)]
+        )
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.source != other.source or self.target != other.target:
@@ -159,7 +164,7 @@ class Morphism:
         return Morphism(
             self.source,
             self.target,
-            [x + y for x, y in zip(self.blocks, other.blocks)],
+            [x + y for x, y in zip(self.mats, other.mats)],
         )
 
     def __sub__(self, other: "Morphism") -> "Morphism":
@@ -168,12 +173,12 @@ class Morphism:
         return Morphism(
             self.source,
             self.target,
-            [x - y for x, y in zip(self.blocks, other.blocks)],
+            [x - y for x, y in zip(self.mats, other.mats)],
         )
 
     def __mul__(self, c) -> "Morphism":
         c = complex(c)
-        return Morphism(self.source, self.target, [c * x for x in self.blocks])
+        return Morphism(self.source, self.target, [c * x for x in self.mats])
 
     __rmul__ = __mul__
 
@@ -193,9 +198,9 @@ class Morphism:
             m, n = self.source.rank, self.target.rank
             out = np.zeros((n * d, m * d), dtype=complex)
             view = out.reshape(n, d, m, d)
-            for nb, off, tb in zip(spec.block_sizes, spec.block_offsets, self.blocks):
+            for nb, off, mat in zip(spec.block_sizes, spec.block_offsets, self.mats):
                 # kron(I_nb, t^T) written as nb diagonal slices, vectorized in (i, j)
-                piece = tb.transpose(1, 3, 0, 2)  # [j, r, i, c] = t_ij[c, r]
+                piece = mat.T.reshape(n, nb, m, nb)  # [j, r, i, c] = t_ij[c, r]
                 for k in range(nb):
                     sl = slice(off + k * nb, off + (k + 1) * nb)
                     view[:, sl, :, sl] = piece
@@ -207,8 +212,8 @@ class Morphism:
     def _block_svds(self, compute_uv: bool) -> list:
         """SVD of each R_b, filling the merged singular value cache on the way."""
         svds = [
-            np.linalg.svd(_reduced(tb), full_matrices=False, compute_uv=compute_uv)
-            for tb in self.blocks
+            np.linalg.svd(r, full_matrices=False, compute_uv=compute_uv)
+            for r in self.mats
         ]
         if self._svals is None:
             per_block = [f.S if compute_uv else f for f in svds]
@@ -249,13 +254,11 @@ class Morphism:
         if s.size == 0 or s[0] <= 0.0:
             return Morphism.zero(self.target, self.source)
         thresh = cutoff * s[0]
-        m, n = self.source.rank, self.target.rank
-        blocks = []
-        for nb, (u, sb, vh) in zip(self.algebra.block_sizes, svds):
+        mats = []
+        for u, sb, vh in svds:
             keep = sb > thresh
-            pinv = (vh[keep].conj().T / sb[keep]) @ u[:, keep].conj().T
-            blocks.append(_unreduced(pinv, n, m, nb))
-        return Morphism(self.target, self.source, blocks)
+            mats.append((vh[keep].conj().T / sb[keep]) @ u[:, keep].conj().T)
+        return Morphism(self.target, self.source, mats)
 
     def kernel_projection(self, cutoff: float = 1e-10) -> "Morphism":
         """Orthogonal projection onto the kernel: module identity minus T+T."""
@@ -284,14 +287,12 @@ class Morphism:
 def identity_morphism(module: ModuleSpec) -> Morphism:
     """Identity of the module: the defining projection if present, else 1."""
     if module.projection is not None:
-        return Morphism(module, module, [p.copy() for p in module.projection])
-    blocks = []
-    for nb in module.algebra.block_sizes:
-        arr = np.zeros((module.rank, module.rank, nb, nb), dtype=complex)
-        for i in range(module.rank):
-            arr[i, i] = np.eye(nb)
-        blocks.append(arr)
-    return Morphism(module, module, blocks)
+        return Morphism(module, module, module.projection)
+    return Morphism(
+        module,
+        module,
+        [np.eye(module.rank * nb, dtype=complex) for nb in module.algebra.block_sizes],
+    )
 
 
 def morphism_from_concrete(
@@ -312,15 +313,15 @@ def morphism_from_concrete(
     if mat.shape != (n * d, m * d):
         raise SpecMismatch(f"concrete matrix of shape {mat.shape}, expected {(n * d, m * d)}")
     view = mat.reshape(n, d, m, d)
-    blocks = []
+    mats = []
     for nb, off in zip(spec.block_sizes, spec.block_offsets):
         acc = np.zeros((n, nb, m, nb), dtype=complex)
         for k in range(nb):
             sl = slice(off + k * nb, off + (k + 1) * nb)
             acc += view[:, sl, :, sl]
-        # acc[j, r, i, c] averages the copies of t_ij^T; undo the transpose
-        blocks.append(acc.transpose(2, 0, 3, 1) / nb)
-    return Morphism(source, target, blocks)
+        # acc[j, r, i, c] averages the copies of t_ij[c, r], i.e. of R_b^T
+        mats.append(acc.reshape(n * nb, m * nb).T / nb)
+    return Morphism(source, target, mats)
 
 
 def random_morphism(
@@ -332,13 +333,14 @@ def random_morphism(
     """Morphism with independent Gaussian algebra entries."""
     spec = source.algebra
     m, n = source.rank, target.rank
-    blocks = []
+    mats = []
     for nb in spec.block_sizes:
+        # entries drawn as (i, j, row, col), then laid out as R_b
         z = rng.standard_normal((m, n, nb, nb)) + 1j * rng.standard_normal(
             (m, n, nb, nb)
         )
-        blocks.append(scale * z / np.sqrt(2.0))
-    t = Morphism(source, target, blocks)
+        mats.append((scale * z / np.sqrt(2.0)).transpose(0, 2, 1, 3).reshape(m * nb, n * nb))
+    t = Morphism(source, target, mats)
     if source.projection is not None:
         t = t @ identity_morphism(source)
     if target.projection is not None:

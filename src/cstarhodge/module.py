@@ -15,18 +15,17 @@ vector to C^{rank*d}; under that flattening the complex trace of the
 A-valued inner product becomes the ordinary Hermitian product, which makes
 a module map's dense shadow (Morphism.embed) a faithful representation.
 
-A right-acting module map A^m -> A^n is stored as one array per algebra
-block, shaped (m, n, n_b, n_b).  ``_reduced`` turns such a block into the
-complex (m*n_b) x (n*n_b) matrix R_b it amounts to: a vector's block, laid
-out as the n_b x (m*n_b) row matrix U_b, maps to U_b R_b, and composition
-is a product of the R_b.
+A right-acting module map A^m -> A^n is stored as one complex matrix R_b of
+size (m*n_b) x (n*n_b) per algebra block, and so is a module's projection
+(m = n = rank).  A vector's block, laid out as the n_b x (m*n_b) row matrix
+U_b, maps to U_b R_b (``_apply``), so composition is a product of the R_b.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSpec
+from .algebra import AlgebraElement, AlgebraSpec, _freeze
 from .errors import SpecMismatch
 
 __all__ = [
@@ -37,27 +36,12 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _reduced(block: np.ndarray) -> np.ndarray:
-    """Module map block (m, n, nb, nb) as its (m*nb) x (n*nb) matrix R_b."""
-    m, n, nb, _ = block.shape
-    return block.transpose(0, 2, 1, 3).reshape(m * nb, n * nb)
-
-
-def _unreduced(mat: np.ndarray, m: int, n: int, nb: int) -> np.ndarray:
-    """Inverse of _reduced: an (m*nb) x (n*nb) matrix as a block (m, n, nb, nb)."""
-    return mat.reshape(m, nb, n, nb).transpose(0, 2, 1, 3)
-
-
-def _apply(ub: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Vector block (m, nb, nb) times module map block (m, n, nb, nb), shaped (n, nb, nb)."""
-    m, n, nb, _ = block.shape
-    rows = ub.transpose(1, 0, 2).reshape(nb, m * nb) @ _reduced(block)
-    return np.ascontiguousarray(rows.reshape(nb, n, nb).transpose(1, 0, 2))
+def _apply(ub: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Vector blocks (..., m, nb, nb) times a module map's R_b, shaped (..., n, nb, nb)."""
+    *lead, m, nb, _ = ub.shape
+    n = mat.shape[1] // nb
+    rows = np.swapaxes(ub, -3, -2).reshape(*lead, nb, m * nb) @ mat
+    return np.ascontiguousarray(np.swapaxes(rows.reshape(*lead, nb, n, nb), -3, -2))
 
 
 def _entry_blocks(spec: AlgebraSpec, rank: int, entries) -> tuple:
@@ -75,28 +59,11 @@ def _entry_blocks(spec: AlgebraSpec, rank: int, entries) -> tuple:
     return tuple(out)
 
 
-def _amat_blocks(spec: AlgebraSpec, m: int, n: int, rows) -> tuple:
-    """Stack an m x n matrix of algebra elements into arrays (m, n, nb, nb)."""
-    if len(rows) != m:
-        raise SpecMismatch(f"expected {m} rows, got {len(rows)}")
-    out = []
-    for b, nb in enumerate(spec.block_sizes):
-        arr = np.zeros((m, n, nb, nb), dtype=complex)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise SpecMismatch(f"row {i} has {len(row)} entries, expected {n}")
-            for j, e in enumerate(row):
-                if e.spec != spec:
-                    raise SpecMismatch("matrix entry over a different algebra spec")
-                arr[i, j] = e.blocks[b]
-        out.append(_freeze(arr))
-    return tuple(out)
-
-
 class ModuleSpec:
     """A^rank, optionally cut down by a right-acting self-adjoint idempotent."""
 
     def __init__(self, algebra: AlgebraSpec, rank: int, projection=None, tol: float = 1e-9):
+        """projection, when given, holds one (rank*n_b) x (rank*n_b) matrix P_b per block."""
         rank = int(rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
@@ -105,20 +72,29 @@ class ModuleSpec:
         if projection is None:
             self.projection = None
         else:
-            if isinstance(projection, tuple):
-                blocks = projection
-            else:
-                blocks = _amat_blocks(algebra, rank, rank, projection)
-            self.projection = tuple(_freeze(np.array(p, dtype=complex)) for p in blocks)
+            projection = tuple(projection)
+            if len(projection) != len(algebra.block_sizes):
+                raise SpecMismatch(
+                    f"projection has {len(projection)} blocks, expected "
+                    f"{len(algebra.block_sizes)}"
+                )
+            checked = []
+            for nb, p in zip(algebra.block_sizes, projection):
+                p = np.array(p, dtype=complex, order="C")
+                if p.shape != (rank * nb, rank * nb):
+                    raise SpecMismatch(
+                        f"projection block of shape {p.shape}, expected "
+                        f"{(rank * nb, rank * nb)}"
+                    )
+                checked.append(_freeze(p))
+            self.projection = tuple(checked)
             self._check_projection(tol)
 
     def _check_projection(self, tol: float):
         for p in self.projection:
-            adj = np.conj(np.transpose(p, (1, 0, 3, 2)))
-            if p.size and np.abs(p - adj).max() > tol:
+            if p.size and np.abs(p - p.conj().T).max() > tol:
                 raise SpecMismatch("projection is not self-adjoint")
-            r = _reduced(p)
-            if p.size and np.abs(r @ r - r).max() > tol:
+            if p.size and np.abs(p @ p - p).max() > tol:
                 raise SpecMismatch("projection is not idempotent")
 
     def __eq__(self, other):
@@ -152,10 +128,7 @@ class ModuleSpec:
         """
         if self.projection is None:
             return tuple(self.rank * nb for nb in self.algebra.block_sizes)
-        return tuple(
-            int(round(float(np.trace(np.trace(p, axis1=2, axis2=3)).real)))
-            for p in self.projection
-        )
+        return tuple(int(round(float(np.trace(p).real))) for p in self.projection)
 
     @property
     def concrete_dim(self) -> int:

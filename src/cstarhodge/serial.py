@@ -10,8 +10,10 @@ Conventions, shared by every format:
 
 Loading validates shapes, value types and finiteness and raises
 ValidationError with the offending location; malformed JSON raises
-ParseError.  Saving normalizes floats to 17 significant digits, so save/load
-round-trips are exact.
+ParseError.  A module whose rank times the algebra dimension exceeds
+MAX_MODULE_DIM is refused before anything is allocated for it.  Saving
+normalizes floats to 17 significant digits, so save/load round-trips are
+exact.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .algebra import AlgebraSpec
 from .chain import ChainComplex
 from .errors import CStarHodgeError, ParseError, ValidationError
-from .hom import Morphism
+from .hom import Morphism, _entry_view, identity_morphism
 from .module import ModuleSpec
 from .symbol import SymbolSample
 from .torus import TorusGeometry, TorusSection
@@ -35,6 +37,12 @@ COMPLEX_SCHEMA = "cstarhodge-complex/1"
 SAMPLES_SCHEMA = "cstarhodge-samples/1"
 SECTION_SCHEMA = "cstarhodge-section/1"
 REPORT_SCHEMA = "cstarhodge-report/1"
+
+# Largest rank * dim(A) a loaded module may have: the concrete dimension of
+# its shadow.  A degree's Laplacian then has at most this many rows per
+# block, 64 MiB as one complex matrix.  The largest module the benchmark
+# loads is rank 24 over (3,), 216.
+MAX_MODULE_DIM = 2048
 
 __all__ = [
     "COMPLEX_SCHEMA",
@@ -102,30 +110,28 @@ def _block_to(b: np.ndarray) -> list:
     return [[_complex_to(z) for z in row] for row in b]
 
 
-def _block_from(data, nb: int, where: str) -> np.ndarray:
+def _block_into(out: np.ndarray, data, where: str):
+    """Read an nb x nb block of complex numbers into the view out."""
+    nb = out.shape[0]
     if not isinstance(data, list) or len(data) != nb:
         _fail(where, f"expected {nb} rows")
-    out = np.zeros((nb, nb), dtype=complex)
     for r, row in enumerate(data):
         if not isinstance(row, list) or len(row) != nb:
             _fail(where, f"row {r}: expected {nb} entries")
         for c, v in enumerate(row):
             out[r, c] = _complex_from(v, f"{where}[{r}][{c}]")
-    return out
 
 
 def _element_to(blocks) -> list:
     return [_block_to(np.asarray(b)) for b in blocks]
 
 
-def _element_from(algebra: AlgebraSpec, data, where: str) -> list:
-    sizes = algebra.block_sizes
-    if not isinstance(data, list) or len(data) != len(sizes):
-        _fail(where, f"expected {len(sizes)} algebra blocks")
-    return [
-        _block_from(blk, nb, f"{where}.block{b}")
-        for b, (nb, blk) in enumerate(zip(sizes, data))
-    ]
+def _element_into(outs, data, where: str):
+    """Read an algebra element into one nb x nb view per algebra block."""
+    if not isinstance(data, list) or len(data) != len(outs):
+        _fail(where, f"expected {len(outs)} algebra blocks")
+    for b, (out, blk) in enumerate(zip(outs, data)):
+        _block_into(out, blk, f"{where}.block{b}")
 
 
 # -- algebra ----------------------------------------------------------------------------
@@ -150,12 +156,12 @@ def algebra_from_data(data, where: str = "algebra") -> AlgebraSpec:
 # -- module maps as matrices ---------------------------------------------------------------
 
 
-def matrix_to_data(blocks) -> list:
-    """Per-algebra-block arrays (m, n, nb, nb) -> rows x cols of elements."""
-    m = blocks[0].shape[0]
-    n = blocks[0].shape[1]
+def matrix_to_data(t: Morphism) -> list:
+    """A module map's per-block matrices R_b -> rows x cols of algebra elements."""
+    m, n = t.source.rank, t.target.rank
+    views = [_entry_view(r, m, n, nb) for nb, r in zip(t.algebra.block_sizes, t.mats)]
     return [
-        [_element_to([blk[i, j] for blk in blocks]) for j in range(n)]
+        [_element_to([v[i, :, j, :] for v in views]) for j in range(n)]
         for i in range(m)
     ]
 
@@ -163,18 +169,19 @@ def matrix_to_data(blocks) -> list:
 def matrix_from_data(
     algebra: AlgebraSpec, data, rows: int, cols: int, where: str
 ) -> tuple:
+    """rows x cols of algebra elements -> per-block matrices R_b, shape checked first."""
     if not isinstance(data, list) or len(data) != rows:
         _fail(where, f"expected {rows} rows")
-    sizes = algebra.block_sizes
-    blocks = [np.zeros((rows, cols, nb, nb), dtype=complex) for nb in sizes]
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             _fail(where, f"row {i}: expected {cols} entries")
+    sizes = algebra.block_sizes
+    mats = [np.zeros((rows * nb, cols * nb), dtype=complex) for nb in sizes]
+    views = [_entry_view(r, rows, cols, nb) for nb, r in zip(sizes, mats)]
+    for i, row in enumerate(data):
         for j, entry in enumerate(row):
-            elem = _element_from(algebra, entry, f"{where}[{i}][{j}]")
-            for b in range(len(sizes)):
-                blocks[b][i, j] = elem[b]
-    return tuple(blocks)
+            _element_into([v[i, :, j, :] for v in views], entry, f"{where}[{i}][{j}]")
+    return tuple(mats)
 
 
 # -- modules -----------------------------------------------------------------------------
@@ -183,7 +190,7 @@ def matrix_from_data(
 def module_to_data(module: ModuleSpec) -> dict:
     out = {"rank": int(module.rank)}
     if module.projection is not None:
-        out["projection"] = matrix_to_data(module.projection)
+        out["projection"] = matrix_to_data(identity_morphism(module))
     return out
 
 
@@ -191,6 +198,12 @@ def module_from_data(algebra: AlgebraSpec, data, where: str = "module") -> Modul
     rank = _get(data, "rank", where)
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
         _fail(where, f"'rank' must be a nonnegative integer, got {rank!r}")
+    if rank * algebra.dim > MAX_MODULE_DIM:
+        _fail(
+            where,
+            f"rank {rank} over blocks {list(algebra.block_sizes)} gives concrete "
+            f"dimension {rank * algebra.dim}, above the cap of {MAX_MODULE_DIM}",
+        )
     projection = None
     if "projection" in data and data["projection"] is not None:
         projection = matrix_from_data(
@@ -209,18 +222,18 @@ def morphism_to_data(t: Morphism) -> dict:
     return {
         "source": module_to_data(t.source),
         "target": module_to_data(t.target),
-        "matrix": matrix_to_data(t.blocks),
+        "matrix": matrix_to_data(t),
     }
 
 
 def morphism_from_data(algebra: AlgebraSpec, data, where: str = "morphism") -> Morphism:
     source = module_from_data(algebra, _get(data, "source", where), f"{where}.source")
     target = module_from_data(algebra, _get(data, "target", where), f"{where}.target")
-    blocks = matrix_from_data(
+    mats = matrix_from_data(
         algebra, _get(data, "matrix", where), source.rank, target.rank, f"{where}.matrix"
     )
     try:
-        return Morphism(source, target, blocks)
+        return Morphism(source, target, mats)
     except CStarHodgeError as e:
         _fail(where, str(e))
 
@@ -233,7 +246,7 @@ def complex_to_data(cx: ChainComplex) -> dict:
         "schema": COMPLEX_SCHEMA,
         "algebra": algebra_to_data(cx.algebra),
         "modules": [module_to_data(m) for m in cx.modules],
-        "differentials": [matrix_to_data(d.blocks) for d in cx.diffs],
+        "differentials": [matrix_to_data(d) for d in cx.diffs],
     }
 
 
@@ -258,14 +271,12 @@ def complex_from_data(data, tol: float = 1e-9) -> ChainComplex:
             t = morphism_from_data(algebra, d, where)
             if t.source.rank != modules[i].rank or t.target.rank != modules[i + 1].rank:
                 _fail(where, "embedded source/target disagree with the module list")
-            diffs.append(
-                Morphism(modules[i], modules[i + 1], t.blocks)
-            )
+            diffs.append(Morphism(modules[i], modules[i + 1], t.mats))
         else:
-            blocks = matrix_from_data(
+            mats = matrix_from_data(
                 algebra, d, modules[i].rank, modules[i + 1].rank, where
             )
-            diffs.append(Morphism(modules[i], modules[i + 1], blocks))
+            diffs.append(Morphism(modules[i], modules[i + 1], mats))
     try:
         return ChainComplex(modules, diffs, tol=tol)
     except CStarHodgeError as e:
@@ -289,7 +300,7 @@ def sample_set_to_data(samples) -> dict:
         "algebra": algebra_to_data(algebra),
         "fibers": [module_to_data(m) for m in fibers],
         "samples": [
-            {"tag": s.tag, "maps": [matrix_to_data(t.blocks) for t in s.maps]}
+            {"tag": s.tag, "maps": [matrix_to_data(t) for t in s.maps]}
             for s in samples
         ],
     }
@@ -317,10 +328,10 @@ def sample_set_from_data(data, tol: float = 1e-9) -> list:
             _fail(where, f"expected {len(fibers) - 1} maps")
         maps = []
         for k, d in enumerate(raw_maps):
-            blocks = matrix_from_data(
+            mats = matrix_from_data(
                 algebra, d, fibers[k].rank, fibers[k + 1].rank, f"{where}.maps[{k}]"
             )
-            maps.append(Morphism(fibers[k], fibers[k + 1], blocks))
+            maps.append(Morphism(fibers[k], fibers[k + 1], mats))
         try:
             out.append(SymbolSample(tag, fibers, maps, tol=tol))
         except CStarHodgeError as e:
@@ -396,9 +407,7 @@ def section_from_data(data) -> TorusSection:
             _fail(where, f"'value' must list {m} module entries")
         idx = geo.mode_index[key]
         for e_i, entry in enumerate(value):
-            elem = _element_from(algebra, entry, f"{where}.value[{e_i}]")
-            for b in range(len(algebra.block_sizes)):
-                blocks[b][idx, e_i] = elem[b]
+            _element_into([b[idx, e_i] for b in blocks], entry, f"{where}.value[{e_i}]")
     return TorusSection(geo, degree, blocks)
 
 

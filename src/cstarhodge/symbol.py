@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .chain import ChainComplex
+from .chain import ChainComplex, _pick_algebra, _shift_morphism, random_unitary_morphism
 from .errors import EmptySampleSet, IndexOutOfRange, ZeroCoefficient
 from .hom import Morphism, singular_rank
 from .module import ModuleSpec
@@ -44,6 +44,8 @@ __all__ = [
     "exterior_basis",
     "wedge_matrix",
     "form_fiber",
+    "tiled_module",
+    "de_rham_symbol_coeffs",
     "de_rham_symbol_sample",
     "random_exact_sample",
     "random_degenerate_sample",
@@ -78,40 +80,54 @@ def wedge_matrix(n: int, k: int, xi) -> np.ndarray:
     return out
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """kron(x, y), written as an einsum so that every zero entry is +0.0."""
+    (a, b), (c, d) = x.shape, y.shape
+    return np.einsum("ij,ab->iajb", x, y).reshape(a * c, b * d)
+
+
+def tiled_module(module: ModuleSpec, copies: int) -> ModuleSpec:
+    """Direct sum of copies of a module: projection kron(I_copies, P_b) per block."""
+    if module.projection is None:
+        return ModuleSpec(module.algebra, copies * module.rank)
+    return ModuleSpec(
+        module.algebra,
+        copies * module.rank,
+        projection=tuple(_kron(np.eye(copies), p) for p in module.projection),
+    )
+
+
 def form_fiber(fiber: ModuleSpec, n: int, k: int) -> ModuleSpec:
     """Fiber module of k-forms: one copy of the fiber per exterior basis slot."""
-    c = len(exterior_basis(n, k))
-    r = fiber.rank
-    if fiber.projection is None:
-        return ModuleSpec(fiber.algebra, c * r)
-    blocks = []
-    for nb, pb in zip(fiber.algebra.block_sizes, fiber.projection):
-        tiled = np.zeros((c * r, c * r, nb, nb), dtype=complex)
-        for s in range(c):
-            tiled[s * r : (s + 1) * r, s * r : (s + 1) * r] = pb
-        blocks.append(tiled)
-    return ModuleSpec(fiber.algebra, c * r, projection=tuple(blocks))
+    return tiled_module(fiber, len(exterior_basis(n, k)))
 
 
 def _scalar_morphism(source: ModuleSpec, target: ModuleSpec, coeffs: np.ndarray) -> Morphism:
-    """Morphism whose entries are scalar multiples of the algebra unit."""
+    """Morphism whose entries are scalar multiples of the algebra unit: R_b = kron(c, I_nb)."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    blocks = [
-        np.einsum("ij,ab->ijab", coeffs, np.eye(nb))
-        for nb in source.algebra.block_sizes
-    ]
-    return Morphism(source, target, blocks)
+    return Morphism(
+        source, target, [_kron(coeffs, np.eye(nb)) for nb in source.algebra.block_sizes]
+    )
+
+
+def de_rham_symbol_coeffs(n: int, k: int, xi, rank: int) -> np.ndarray:
+    """Scalar matrix of the degree-k de Rham symbol at xi on a fiber of that rank.
+
+    It is 2*pi*i kron(wedge_matrix(n, k, xi)^T, I_rank), with rows indexing
+    the k-form slots (the source) as every module map matrix does.
+    """
+    w = wedge_matrix(n, k, np.asarray(xi, dtype=float))
+    return 2j * np.pi * _kron(w.T, np.eye(rank))
 
 
 def de_rham_symbol_sample(n: int, fiber: ModuleSpec, xi, tag: Optional[str] = None) -> "SymbolSample":
     """Symbol complex of the de Rham operator at covector xi: wedge by 2*pi*i*xi."""
     xi = np.asarray(xi, dtype=float)
     fibers = [form_fiber(fiber, n, k) for k in range(n + 1)]
-    maps = []
-    for k in range(n):
-        w = wedge_matrix(n, k, xi)
-        coeffs = 2j * np.pi * np.kron(w.T, np.eye(fiber.rank))
-        maps.append(_scalar_morphism(fibers[k], fibers[k + 1], coeffs))
+    maps = [
+        _scalar_morphism(fibers[k], fibers[k + 1], de_rham_symbol_coeffs(n, k, xi, fiber.rank))
+        for k in range(n)
+    ]
     if tag is None:
         tag = "xi=" + ",".join(format(x, ".6g") for x in xi)
     return SymbolSample(tag, fibers, maps)
@@ -325,11 +341,7 @@ def random_exact_sample(
     middle degree has image rank b, kernel rank b and no harmonic slack;
     every nonzero singular value lies in [0.5, 2].
     """
-    from .chain import random_unitary_morphism
-
-    if algebra is None:
-        catalog = [(1,), (2,), (1, 2), (2, 2), (3,)]
-        algebra = AlgebraSpec(catalog[int(rng.integers(len(catalog)))])
+    algebra = _pick_algebra(rng, algebra)
 
     while True:
         m_u = int(rng.integers(1, max_rank + 1))
@@ -344,18 +356,8 @@ def random_exact_sample(
     mods = [ModuleSpec(algebra, m) for m in (m_u, m_v, m_w)]
     frames = [random_unitary_morphism(m, rng) for m in mods]
 
-    def shift(src_mod, tgt_mod, pairs):
-        base = Morphism.zero(src_mod, tgt_mod)
-        blocks = [blk.copy() for blk in base.blocks]
-        for (i, j) in pairs:
-            s = float(rng.uniform(0.5, 2.0))
-            u = algebra.random_unitary(rng)
-            for bidx, ub in enumerate(u.blocks):
-                blocks[bidx][i, j] = s * ub
-        return Morphism(src_mod, tgt_mod, blocks)
-
-    first = shift(mods[0], mods[1], [(l, l) for l in range(b)])
-    second = shift(mods[1], mods[2], [(b + l, l) for l in range(c)])
+    first = _shift_morphism(mods[0], mods[1], [(l, l) for l in range(b)], rng)
+    second = _shift_morphism(mods[1], mods[2], [(b + l, l) for l in range(c)], rng)
     maps = [
         frames[1] @ first @ frames[0].adjoint(),
         frames[2] @ second @ frames[1].adjoint(),
@@ -375,11 +377,7 @@ def random_degenerate_sample(
     tag: Optional[str] = None,
 ):
     """Like random_exact_sample but with harmonic slack in the middle fiber."""
-    from .chain import random_unitary_morphism
-
-    if algebra is None:
-        catalog = [(1,), (2,), (1, 2), (2, 2), (3,)]
-        algebra = AlgebraSpec(catalog[int(rng.integers(len(catalog)))])
+    algebra = _pick_algebra(rng, algebra)
 
     slack = max(1, int(slack))
     m_u = int(rng.integers(1, max_rank + 1))
@@ -391,18 +389,8 @@ def random_degenerate_sample(
     mods = [ModuleSpec(algebra, m) for m in (m_u, m_v, m_w)]
     frames = [random_unitary_morphism(m, rng) for m in mods]
 
-    def shift(src_mod, tgt_mod, pairs):
-        base = Morphism.zero(src_mod, tgt_mod)
-        blocks = [blk.copy() for blk in base.blocks]
-        for (i, j) in pairs:
-            s = float(rng.uniform(0.5, 2.0))
-            u = algebra.random_unitary(rng)
-            for bidx, ub in enumerate(u.blocks):
-                blocks[bidx][i, j] = s * ub
-        return Morphism(src_mod, tgt_mod, blocks)
-
-    first = shift(mods[0], mods[1], [(l, slack + l) for l in range(b)])
-    second = shift(mods[1], mods[2], [(slack + b + l, l) for l in range(c)])
+    first = _shift_morphism(mods[0], mods[1], [(l, slack + l) for l in range(b)], rng)
+    second = _shift_morphism(mods[1], mods[2], [(slack + b + l, l) for l in range(c)], rng)
     maps = [
         frames[1] @ first @ frames[0].adjoint(),
         frames[2] @ second @ frames[1].adjoint(),

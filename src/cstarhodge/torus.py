@@ -26,12 +26,18 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _freeze
 from .chain import ChainComplex, free_rank_of_projection
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
 from .hom import Morphism, identity_morphism
-from .module import ModuleSpec, ModuleVector
-from .symbol import exterior_basis, form_fiber, wedge_matrix, _scalar_morphism
+from .module import ModuleSpec, ModuleVector, _apply
+from .symbol import (
+    _scalar_morphism,
+    de_rham_symbol_coeffs,
+    exterior_basis,
+    form_fiber,
+    tiled_module,
+)
 
 __all__ = [
     "TorusGeometry",
@@ -60,17 +66,24 @@ LATTICE_CACHE_SIZE = 64
 # before any mode is listed.
 MAX_MODES = 65536
 
+# Largest number of (mode, exterior slot) pairs over all form degrees,
+# modes * 2^n, that a geometry accepts.  With band 0 there is one mode, but
+# degree k still carries C(n, k) slots: on a 2-core machine the de Rham
+# suite takes about 5 s and 240 MB at n = 12 (4096 pairs), 33 s and 605 MB
+# at n = 13.
+MAX_FORM_SLOTS = 4096
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+# Largest grid points * modes that embedding_check evaluates: the phase
+# matrix of norm_at_points holds that many complex numbers (16 MiB).
+MAX_GRID_PHASES = 1 << 20
 
 
 class TorusGeometry:
     """Torus dimension, Fourier band and fiber module.
 
-    Raises ValidationError for a dimension below 1, a negative band limit, or
-    more than MAX_MODES modes, before enumerating anything.
+    Raises ValidationError for a dimension below 1, a negative band limit,
+    more than MAX_MODES modes, or more than MAX_FORM_SLOTS modes times 2^n
+    exterior slots, before enumerating anything.
     """
 
     def __init__(self, dimension: int, band_limit: int, fiber: ModuleSpec):
@@ -85,6 +98,11 @@ class TorusGeometry:
         # exceeds the cap; the clamp keeps a huge n from a huge power
         if side ** min(n, MAX_MODES.bit_length()) > MAX_MODES:
             raise ValidationError(f"{side}^{n} modes exceed the cap of {MAX_MODES}")
+        if side**n * 2 ** min(n, MAX_FORM_SLOTS.bit_length()) > MAX_FORM_SLOTS:
+            raise ValidationError(
+                f"{side}^{n} modes times 2^{n} exterior slots exceed the cap of "
+                f"{MAX_FORM_SLOTS}"
+            )
         self.dimension = n
         self.band_limit = band
         self.fiber = fiber
@@ -127,23 +145,9 @@ class TorusGeometry:
     def total_module(self, degree: int) -> ModuleSpec:
         """All modes stacked: the degree-k module of the assembled complex."""
         if degree not in self._total_modules:
-            per_mode = self.form_fiber(degree)
-            if per_mode.projection is None:
-                total = ModuleSpec(self.algebra, self.num_modes * per_mode.rank)
-            else:
-                m = per_mode.rank
-                blocks = []
-                for nb, pb in zip(self.algebra.block_sizes, per_mode.projection):
-                    tiled = np.zeros(
-                        (self.num_modes * m, self.num_modes * m, nb, nb), dtype=complex
-                    )
-                    for c in range(self.num_modes):
-                        tiled[c * m : (c + 1) * m, c * m : (c + 1) * m] = pb
-                    blocks.append(tiled)
-                total = ModuleSpec(
-                    self.algebra, self.num_modes * m, projection=tuple(blocks)
-                )
-            self._total_modules[degree] = total
+            self._total_modules[degree] = tiled_module(
+                self.form_fiber(degree), self.num_modes
+            )
         return self._total_modules[degree]
 
     def mode_norms_sq(self) -> np.ndarray:
@@ -322,10 +326,9 @@ def random_section(
 
 def _apply_per_mode_morphism(s: TorusSection, t: Morphism) -> TorusSection:
     """Apply one module map to every coefficient (same map for all modes)."""
-    blocks = []
-    for sb, tb in zip(s.blocks, t.blocks):
-        blocks.append(np.einsum("qiab,ijbc->qjac", sb, tb))
-    return TorusSection(s.geometry, s.degree, tuple(blocks))
+    return TorusSection(
+        s.geometry, s.degree, tuple(_apply(sb, r) for sb, r in zip(s.blocks, t.mats))
+    )
 
 
 # -- products and norms ---------------------------------------------------------------
@@ -522,6 +525,9 @@ def embedding_check(
     passes for every band-limited section.  The grid may be an integer
     (points per axis) or an array of points; a finite grid can only
     underestimate a supremum, which keeps the inequality one-sided.
+
+    Raises ValidationError, before listing any grid point, when grid points
+    times modes exceed MAX_GRID_PHASES.
     """
     geo = s.geometry
     n = geo.dimension
@@ -533,10 +539,18 @@ def embedding_check(
     if grid is None:
         grid = 8 * max(1, geo.band_limit)
     if np.isscalar(grid):
-        per_axis = np.arange(int(grid)) / float(grid)
-        pts = np.array(list(itertools.product(per_axis, repeat=n)))
+        count = int(grid) ** n
     else:
         pts = np.asarray(grid, dtype=float).reshape(-1, n)
+        count = len(pts)
+    if count * geo.num_modes > MAX_GRID_PHASES:
+        raise ValidationError(
+            f"{count} grid points times {geo.num_modes} modes exceed the cap of "
+            f"{MAX_GRID_PHASES}"
+        )
+    if np.isscalar(grid):
+        per_axis = np.arange(int(grid)) / float(grid)
+        pts = np.array(list(itertools.product(per_axis, repeat=n)))
 
     deriv = s.derivative(alpha)
     lhs = float(deriv.norm_at_points(pts).max()) if len(pts) else 0.0
@@ -610,11 +624,9 @@ def de_rham_differential(geometry: TorusGeometry, degree: int) -> Morphism:
     m_tgt = geometry.form_fiber(degree + 1).rank
     coeffs = np.zeros((src.rank, tgt.rank), dtype=complex)
     for idx, q in enumerate(geometry.modes):
-        w = wedge_matrix(n, degree, q.astype(float))
-        block = 2j * np.pi * np.kron(w.T, np.eye(r))
         coeffs[
             idx * m_src : (idx + 1) * m_src, idx * m_tgt : (idx + 1) * m_tgt
-        ] = block
+        ] = de_rham_symbol_coeffs(n, degree, q, r)
     return _scalar_morphism(src, tgt, coeffs)
 
 
@@ -636,15 +648,6 @@ def section_as_total_vector(s: TorusSection) -> ModuleVector:
     return ModuleVector(total, tuple(blocks))
 
 
-def _mode_symbol(geometry: TorusGeometry, degree: int, q) -> Morphism:
-    r = geometry.fiber.rank
-    w = wedge_matrix(geometry.dimension, degree, np.asarray(q, dtype=float))
-    coeffs = 2j * np.pi * np.kron(w.T, np.eye(r))
-    return _scalar_morphism(
-        geometry.form_fiber(degree), geometry.form_fiber(degree + 1), coeffs
-    )
-
-
 def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list:
     """Mode-diagonal harmonic analysis of the de Rham complex.
 
@@ -655,6 +658,15 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
     binomial(n, k) * fiber values.
     """
     n = geometry.dimension
+    r = geometry.fiber.rank
+
+    def symbol(k, q):
+        return _scalar_morphism(
+            geometry.form_fiber(k),
+            geometry.form_fiber(k + 1),
+            de_rham_symbol_coeffs(n, k, q, r),
+        )
+
     reports = []
     for k in range(n + 1):
         per_mode = geometry.form_fiber(k)
@@ -672,10 +684,8 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
         ident = identity_morphism(per_mode)
         for q in geometry.modes:
             qsq = float(np.sum(q.astype(float) ** 2))
-            below = (
-                _mode_symbol(geometry, k - 1, q) if k > 0 else None
-            )
-            above = _mode_symbol(geometry, k, q) if k < n else None
+            below = symbol(k - 1, q) if k > 0 else None
+            above = symbol(k, q) if k < n else None
             lap = None
             if below is not None:
                 lap = below @ below.adjoint()
@@ -683,7 +693,7 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
                 term = above.adjoint() @ above
                 lap = term if lap is None else lap + term
             if above is not None and k + 1 < n:
-                nxt = _mode_symbol(geometry, k + 1, q)
+                nxt = symbol(k + 1, q)
                 worst_square = max(worst_square, (nxt @ above).norm())
             worst_multiplier = max(
                 worst_multiplier,

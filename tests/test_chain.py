@@ -164,8 +164,7 @@ def test_free_rank_profile():
     mod = ModuleSpec(alg, 3)
     assert free_rank_of_projection(identity_morphism(mod)) == 3
     # projective module of non-integer profile has no free rank
-    p = np.zeros((1, 1, 2, 2), dtype=complex)
-    p[0, 0] = np.diag([1.0, 0.0])
+    p = np.diag([1.0, 0.0]).astype(complex)
     proj = ModuleSpec(AlgebraSpec((2,)), 1, projection=(p,))
     assert free_rank_of_projection(identity_morphism(proj)) is None
 

@@ -180,8 +180,7 @@ def test_shape_mismatch_rejected():
 
 def test_projective_morphism_respects_projection():
     alg = AlgebraSpec((2,))
-    p = np.zeros((1, 1, 2, 2), dtype=complex)
-    p[0, 0] = np.diag([1.0, 0.0])
+    p = np.diag([1.0, 0.0]).astype(complex)
     mod = ModuleSpec(alg, 1, projection=(p,))
     free = ModuleSpec(alg, 2)
     rng = rng_for(2, "hom-resp", 0)
@@ -201,13 +200,14 @@ def _projective(alg, rank, rng):
     free = ModuleSpec(alg, rank)
     diag = []
     for nb in alg.block_sizes:
-        arr = np.zeros((rank, rank, nb, nb), dtype=complex)
-        for i in range(rank):
-            arr[i, i] = np.diag((np.arange(nb) <= i).astype(float))
+        # R_b is block diagonal, entry (i, i) = diag(1 for the first i + 1 rows)
+        arr = np.diag(
+            np.concatenate([(np.arange(nb) <= i) for i in range(rank)]).astype(complex)
+        )
         diag.append(arr)
     u = random_unitary_morphism(free, rng)
     p = u @ Morphism(free, free, diag) @ u.adjoint()
-    return ModuleSpec(alg, rank, projection=tuple(p.blocks))
+    return ModuleSpec(alg, rank, projection=tuple(p.mats))
 
 
 def _oracle_cases(alg, rng):
@@ -258,7 +258,7 @@ def test_pseudoinverse_svals_reuse_and_cache():
     t = random_morphism(ModuleSpec(alg, 3), ModuleSpec(alg, 2), rng)
     t.pseudoinverse()
     filled = t.singular_values()
-    fresh = Morphism(t.source, t.target, t.blocks).singular_values()
+    fresh = Morphism(t.source, t.target, t.mats).singular_values()
     assert np.allclose(filled, fresh, atol=1e-13)
     assert np.all(np.diff(filled) <= 0.0)
 
@@ -270,13 +270,13 @@ def test_pseudoinverse_cutoff_is_global_not_per_block():
     src, tgt = ModuleSpec(alg, 2), ModuleSpec(alg, 3)
     rng = rng_for(2, "hom-global-cutoff", 0)
     t = random_morphism(src, tgt, rng)
-    t = Morphism(src, tgt, [t.blocks[0], 1e-12 * np.asarray(t.blocks[1])])
+    t = Morphism(src, tgt, [t.mats[0], 1e-12 * np.asarray(t.mats[1])])
     cutoff = 1e-10
     s = t.singular_values()
     assert s[0] > 0.1 and np.count_nonzero(s > cutoff * s[0]) == 2
     pinv = t.pseudoinverse(cutoff)
-    assert np.abs(pinv.blocks[1]).max() == 0.0
-    assert np.abs(pinv.blocks[0]).max() > 0.1
+    assert np.abs(pinv.mats[1]).max() == 0.0
+    assert np.abs(pinv.mats[0]).max() > 0.1
     _assert_matches_shadow(t, cutoff)
 
 
@@ -325,8 +325,7 @@ def test_random_unitary_on_rank_one_module_over_m2():
     # test over all of them turns down every draw and never returns
     from cstarhodge.chain import random_unitary_morphism
 
-    p = np.zeros((1, 1, 2, 2), dtype=complex)
-    p[0, 0] = np.diag([1.0, 0.0])
+    p = np.diag([1.0, 0.0]).astype(complex)
     mod = ModuleSpec(AlgebraSpec((2,)), 1, projection=(p,))
     with _deadline(30):
         u = random_unitary_morphism(mod, rng_for(2, "hom-proj", 0))
@@ -351,3 +350,16 @@ def test_random_unitary_on_projective_module_is_polar_factor_of_shadow(blocks):
             break
     oracle = morphism_from_concrete(mod, mod, w[:, :k] @ vh[:k])
     assert (u - oracle).norm() < 1e-12
+
+
+def test_block_matrix_shape_checked():
+    alg = AlgebraSpec((2, 1))
+    src, tgt = ModuleSpec(alg, 2), ModuleSpec(alg, 3)
+    assert Morphism(src, tgt, [np.ones((4, 6)), np.ones((2, 3))]).entry(1, 2).norm() > 0
+    for bad in (
+        [np.ones((4, 6))],  # a block missing
+        [np.ones((6, 4)), np.ones((3, 2))],  # transposed
+        [np.ones((2, 3, 2, 2)), np.ones((2, 3, 1, 1))],  # entry layout (m, n, nb, nb)
+    ):
+        with pytest.raises(SpecMismatch):
+            Morphism(src, tgt, bad)

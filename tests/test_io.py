@@ -44,8 +44,7 @@ def test_complex_roundtrip(tmp_path):
 
 def test_module_roundtrip_with_projection():
     alg = AlgebraSpec((2,))
-    p = np.zeros((1, 1, 2, 2), dtype=complex)
-    p[0, 0] = np.diag([1.0, 0.0])
+    p = np.diag([1.0, 0.0]).astype(complex)
     mod = ModuleSpec(alg, 1, projection=(p,))
     assert serial.module_from_data(alg, serial.module_to_data(mod)) == mod
 
@@ -111,8 +110,8 @@ def test_square_violation_names_degree(tmp_path):
         "algebra": {"blocks": [1]},
         "modules": [{"rank": 1}, {"rank": 1}, {"rank": 1}],
         "differentials": [
-            serial.matrix_to_data(one.blocks),
-            serial.matrix_to_data(one.blocks),
+            serial.matrix_to_data(one),
+            serial.matrix_to_data(one),
         ],
     }
     path = tmp_path / "square.json"
@@ -285,4 +284,66 @@ def test_cli_torus_demo_rejects_bad_geometry(geometry, message, capsys, monkeypa
 
     monkeypatch.setattr(itertools, "product", no_enumeration)
     assert run_cli(["torus-demo", "--fiber", "1x1"] + geometry)[0] == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oversized_module_exits_2_before_allocating(tmp_path, capsys):
+    # a 74-byte file whose Laplacian would need 14.6 TiB
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"algebra":{"blocks":[1]},"modules":[{"rank":1000000}],"differentials":[]}'
+    )
+    assert len(path.read_bytes()) == 74
+    for cmd in ("hodge", "check-complex"):
+        assert run_cli([cmd, str(path)])[0] == 2
+        err = capsys.readouterr().err
+        assert "modules[0]" in err and f"cap of {serial.MAX_MODULE_DIM}" in err
+
+
+def test_module_size_cap_boundary(monkeypatch):
+    monkeypatch.setattr(serial, "MAX_MODULE_DIM", 10)
+    alg = AlgebraSpec((1, 2))  # dim 5
+    assert serial.module_from_data(alg, {"rank": 2}).rank == 2
+    with pytest.raises(ValidationError, match=r"fibers\[1\]: rank 3 .* dimension 15"):
+        serial.module_from_data(alg, {"rank": 3}, "fibers[1]")
+    # the rank is checked before the projection is read
+    with pytest.raises(ValidationError, match="above the cap of 10"):
+        serial.module_from_data(alg, {"rank": 3, "projection": "not read"})
+
+
+def test_matrix_rows_checked_before_allocation(monkeypatch):
+    alg = AlgebraSpec((1,))
+    one = [[[[1.0, 0.0]]]]
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("matrix allocated before its rows were checked")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(ValidationError, match=r"m: row 1: expected 1 entries"):
+        serial.matrix_from_data(alg, [[one], [one, one]], 2, 1, "m")
+    with pytest.raises(ValidationError, match="m: expected 2 rows"):
+        serial.matrix_from_data(alg, [[one]], 2, 1, "m")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "13", "--band", "0", "--suite", "derham"], "2^13 exterior slots exceed the cap"),
+        (["--n", "3", "--band", "3", "--suite", "embedding", "--sections", "1"],
+         "13824 grid points times 343 modes exceed the cap"),
+    ],
+    ids=["form-slots", "embedding-grid"],
+)
+def test_cli_torus_demo_size_caps(argv, message, capsys, monkeypatch):
+    real = itertools.product
+
+    def modes_only(*args, **kwargs):
+        if any(isinstance(a, np.ndarray) for a in args):
+            raise AssertionError("grid points listed before the size was checked")
+        if argv[1] == "13":
+            raise AssertionError("modes listed before the geometry was validated")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(itertools, "product", modes_only)
+    assert run_cli(["torus-demo", "--fiber", "1x1"] + argv)[0] == 2
     assert message in capsys.readouterr().err

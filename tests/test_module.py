@@ -15,13 +15,11 @@ def test_free_module_dims():
 
 def test_projection_validation():
     alg = AlgebraSpec((2,))
-    good = np.zeros((1, 1, 2, 2), dtype=complex)
-    good[0, 0] = np.diag([1.0, 0.0])
+    good = np.diag([1.0, 0.0]).astype(complex)
     mod = ModuleSpec(alg, 1, projection=(good,))
     assert mod.concrete_dim == 2  # trace 1 in a 2x2 block contributes nb * tr
 
-    bad = np.zeros((1, 1, 2, 2), dtype=complex)
-    bad[0, 0] = np.array([[0.5, 0.5], [0.0, 0.5]])  # not self-adjoint
+    bad = np.array([[0.5, 0.5], [0.0, 0.5]]).astype(complex)  # not self-adjoint
     with pytest.raises(SpecMismatch):
         ModuleSpec(alg, 1, projection=(bad,))
 
@@ -106,8 +104,7 @@ def test_vec_roundtrip():
 
 def test_projective_membership():
     alg = AlgebraSpec((2,))
-    p = np.zeros((1, 1, 2, 2), dtype=complex)
-    p[0, 0] = np.diag([1.0, 0.0])
+    p = np.diag([1.0, 0.0]).astype(complex)
     mod = ModuleSpec(alg, 1, projection=(p,))
     rng = rng_for(1, "module-proj", 0)
     u = mod.random_vector(rng)
@@ -122,3 +119,18 @@ def test_wrong_module_arithmetic_rejected():
     w = ModuleSpec(alg, 3).zero_vector()
     with pytest.raises(SpecMismatch):
         u + w
+
+
+def test_projection_shape_checked():
+    alg = AlgebraSpec((2, 1))
+    p = np.eye(2, dtype=complex)
+    # one (rank*nb) x (rank*nb) matrix per block, rank 1 here
+    assert ModuleSpec(alg, 1, projection=(p, np.eye(1))).concrete_dim == alg.dim
+    for bad in (
+        (p,),  # a block missing
+        (p, np.eye(1), np.eye(1)),  # a block too many
+        (np.eye(4), np.eye(1)),  # rank 2 shape for rank 1
+        (p.reshape(1, 1, 2, 2), np.eye(1).reshape(1, 1, 1, 1)),  # entry layout
+    ):
+        with pytest.raises(SpecMismatch, match="projection"):
+            ModuleSpec(alg, 1, projection=bad)

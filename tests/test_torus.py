@@ -349,3 +349,57 @@ def test_geometry_mismatch_rejected():
         FourierMultiplier.identity(g1, 0).apply(s2)
     with pytest.raises(GeometryMismatch):
         s1.coefficient((5,))
+
+
+def test_form_slot_cap(monkeypatch):
+    # with band 0 there is one mode, but degree k carries C(n, k) slots
+    monkeypatch.setattr(itertools, "product", _no_enumeration)
+    for n in (13, 40, 10**9):
+        with pytest.raises(ValidationError, match="exterior slots exceed the cap"):
+            TorusGeometry(n, 0, SCALAR)
+
+
+def test_form_slot_cap_boundary(monkeypatch):
+    monkeypatch.setattr(torus, "MAX_FORM_SLOTS", 36)
+    assert TorusGeometry(2, 1, SCALAR).num_modes == 9  # 9 modes * 2^2 = 36
+    assert TorusGeometry(5, 0, SCALAR).num_modes == 1  # 2^5 = 32
+    for n, band in ((6, 0), (3, 1), (1, 9)):
+        with pytest.raises(ValidationError, match="cap of 36"):
+            TorusGeometry(n, band, SCALAR)
+
+
+def _grid_guard(real):
+    """itertools.product that lists modes (ranges) but fails on grid axes (arrays)."""
+
+    def guarded(*args, **kwargs):
+        if any(isinstance(a, np.ndarray) for a in args):
+            raise AssertionError("grid points listed before the size was checked")
+        return real(*args, **kwargs)
+
+    return guarded
+
+
+def test_embedding_grid_cap(monkeypatch):
+    monkeypatch.setattr(itertools, "product", _grid_guard(itertools.product))
+    geo = TorusGeometry(3, 3, SCALAR)
+    s = random_section(geo, 0, rng_for(6, "torus-grid-cap", 0))
+
+    def no_phases(*args, **kwargs):
+        raise AssertionError("phases computed before the size was checked")
+
+    monkeypatch.setattr(TorusSection, "norm_at_points", no_phases)
+    # default grid 24^3 points times 343 modes
+    with pytest.raises(ValidationError, match="13824 grid points times 343 modes"):
+        embedding_check(s, 4.0, (0, 0, 0))
+    pts = np.zeros((torus.MAX_GRID_PHASES // geo.num_modes + 1, 3))
+    with pytest.raises(ValidationError, match="exceed the cap"):
+        embedding_check(s, 4.0, (0, 0, 0), grid=pts)
+
+
+def test_embedding_grid_cap_boundary(monkeypatch):
+    geo = TorusGeometry(1, 1, SCALAR)
+    s = random_section(geo, 0, rng_for(6, "torus-grid-cap", 1))
+    monkeypatch.setattr(torus, "MAX_GRID_PHASES", 24)
+    assert embedding_check(s, 2.0, (0,))["grid_points"] == 8  # 8 points * 3 modes
+    with pytest.raises(ValidationError, match="9 grid points times 3 modes"):
+        embedding_check(s, 2.0, (0,), grid=9)
