@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSpec, _freeze
+from .algebra import AlgebraElement, AlgebraSpec
 from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
@@ -262,37 +262,44 @@ class ChainComplex:
         """Per block, orthonormal rows spanning the vectors of module i all ops kill.
 
         A vector's block is an n_b x (m n_b) row matrix U_b and a map acts as
-        U_b R_b, so the rows span the left null space of the side-by-side
-        stack [R_b of each op, 1 - P_b], the last only for a projective
-        module.  As in Morphism.pseudoinverse, singular values at or below
-        cutoff times the largest over all blocks count as zero.
+        U_b R_b.  The module's rows are y Q_b* for an orthonormal basis Q_b
+        of the range of P_b (all of C^{m n_b} for a free module), so the
+        kernel rows are y Q_b* for y in the left null space of Q_b* times
+        the side-by-side stack of the ops' R_b.  As in cohomology_report,
+        singular values at or below cutoff times the largest over all
+        blocks count as zero; ops that are all zero leave the whole module.
         """
         mod = self.modules[i]
-        svds = []
+        frames, svds = [], []
         for b, nb in enumerate(self.algebra.block_sizes):
-            cols = [op.mats[b] for op in ops]
-            if mod.projection is not None:
-                cols.append(np.eye(mod.rank * nb) - mod.projection[b])
-            svds.append(np.linalg.svd(np.hstack(cols)))
+            if mod.projection is None:
+                frame = np.eye(mod.rank * nb)
+            else:
+                w, v = np.linalg.eigh(mod.projection[b])
+                frame = v[:, w > 0.5]
+            frames.append(frame)
+            svds.append(np.linalg.svd(frame.conj().T @ np.hstack([op.mats[b] for op in ops])))
         smax = max((f.S[0] for f in svds if f.S.size), default=0.0)
-        return [f.U[:, np.count_nonzero(f.S > cutoff * smax) :].conj().T for f in svds]
+        return [
+            f.U[:, np.count_nonzero(f.S > cutoff * smax) :].conj().T @ q.conj().T
+            for f, q in zip(svds, frames)
+        ]
 
     def harmonic_basis(self, i: int, cutoff: float = 1e-10) -> list:
         """Orthonormal concrete basis of Ker L_i inside the module.
 
-        Each null row x of block b gives n_b basis vectors, x placed in one
-        row of that block's row matrix at a time.
+        Each null row x of block b gives n_b basis vectors, x written into
+        one row of that block's row matrix at a time.
         """
         mod = self.modules[i]
         sizes = self.algebra.block_sizes
         basis = []
         for b, rows in enumerate(self._kernel_rows(i, [self.laplacian(i)], cutoff)):
-            nb = sizes[b]
             for x in rows:
-                for a in range(nb):
-                    blocks = [np.zeros((mod.rank, n, n), dtype=complex) for n in sizes]
-                    blocks[b][:, a, :] = x.reshape(mod.rank, nb)
-                    basis.append(ModuleVector(mod, [_freeze(v) for v in blocks]))
+                for a in range(sizes[b]):
+                    vec_rows = mod._zero_rows()
+                    vec_rows[b][a] = x
+                    basis.append(ModuleVector(mod, vec_rows))
         return basis
 
     def kernel_intersection_check(self, i: int, cutoff: float = 1e-10) -> dict:

@@ -11,9 +11,12 @@ Every pass/fail line names the identity it checks by its formula.  Exit code
 0 means all checks passed, 1 means some verified identity or expected value
 failed, 2 means the input could not be parsed or validated, or a linear
 algebra routine failed on it.  With --format json the report is
-deterministic byte for byte for a fixed seed and configuration.  The
-environment variable HODGE_CSTAR_THREADS caps the worker count used by
-sample scans.
+deterministic byte for byte for a fixed seed and configuration.
+
+torus-demo refuses, with exit 2, a geometry whose largest form fiber (the
+fiber tensored with the C(n, n // 2) middle-degree exterior slots) has
+rank * dim(A) above module.MAX_MODULE_DIM, besides its caps on modes and
+exterior slots.
 """
 
 from __future__ import annotations

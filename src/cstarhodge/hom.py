@@ -12,12 +12,14 @@ the entrywise-starred transpose.
 A map is stored per algebra block.  Over A = sum_b M_{n_b}, T is exactly
 one complex (m*n_b) x (n*n_b) matrix R_b per block (``Morphism.mats``),
 with entry t_ij's block at R_b.reshape(m, n_b, n, n_b)[i, :, j, :]
-(``_entry_view``, which serial's matrix reader and writer share).  Composition is one matrix product per block and the adjoint is the
-conjugate transpose of each R_b.  Flattening each module by ModuleVector.vec
-turns T into its dense shadow sum_b I_{n_b} (x) R_b^T, so the shadow's
-singular values are those of the R_b, each repeated n_b times, and its
-pseudoinverse is the module map with blocks pinv(R_b).  Rank decisions cut
-at a fraction of the largest singular value over all blocks.  The shadow
+(``_entry_view``, which serial's matrix reader and writer share).  A
+vector's row matrix U_b maps to U_b R_b, composition is one matrix product
+per block and the adjoint is the conjugate transpose of each R_b.
+Flattening each module by ModuleVector.vec turns T into its dense shadow
+sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
+R_b, each repeated n_b times, and its pseudoinverse is the module map with
+blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
+value over all blocks.  The shadow
 (``embed``) and its pullback ``morphism_from_concrete`` stay as the oracles
 the tests check these numerics against.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, _freeze
 from .errors import SpecMismatch
-from .module import ModuleSpec, ModuleVector, _apply
+from .module import ModuleSpec, ModuleVector
 
 __all__ = [
     "Morphism",
@@ -139,10 +141,7 @@ class Morphism:
     def __call__(self, u: ModuleVector) -> ModuleVector:
         if u.module != self.source:
             raise SpecMismatch("vector is not in the source module")
-        return ModuleVector(
-            self.target,
-            tuple(_freeze(_apply(ub, r)) for ub, r in zip(u.blocks, self.mats)),
-        )
+        return ModuleVector(self.target, [ub @ r for ub, r in zip(u.rows, self.mats)])
 
     def adjoint(self) -> "Morphism":
         """Adjoint for the A-valued inner products: entries (T*)_ji = (t_ij)*."""

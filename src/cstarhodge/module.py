@@ -9,16 +9,17 @@ The A-valued inner product is
 which is conjugate-linear in the first slot and satisfies
 (a.u, v) = (u, v) a*  and  (u, a.v) = a (u, v).
 
-Internally a vector keeps one ndarray per algebra block, shaped
-(rank, n_b, n_b), so bulk operations stay vectorized.  ``vec`` flattens a
-vector to C^{rank*d}; under that flattening the complex trace of the
-A-valued inner product becomes the ordinary Hermitian product, which makes
-a module map's dense shadow (Morphism.embed) a faithful representation.
-
-A right-acting module map A^m -> A^n is stored as one complex matrix R_b of
-size (m*n_b) x (n*n_b) per algebra block, and so is a module's projection
-(m = n = rank).  A vector's block, laid out as the n_b x (m*n_b) row matrix
-U_b, maps to U_b R_b (``_apply``), so composition is a product of the R_b.
+A vector keeps one n_b x (m*n_b) row matrix U_b per algebra block
+(``ModuleVector.rows``): the blocks of its m entries side by side, entry i's
+block at U_b.reshape(n_b, m, n_b)[:, i, :] (``_entry_slots``, which serial's
+section reader and writer share).  A right-acting module map A^m -> A^n is
+one complex matrix R_b of size (m*n_b) x (n*n_b) per block, and so is a
+module's projection (m = n = rank).  So a map sends U_b to U_b R_b, the left
+action of a is a_b U_b, and the inner product (u, v) has block V_b U_b*.
+``vec`` flattens a vector to C^{rank*d}; under that flattening the complex
+trace of the A-valued inner product becomes the ordinary Hermitian product,
+which makes a module map's dense shadow (Morphism.embed) a faithful
+representation.
 """
 
 from __future__ import annotations
@@ -35,28 +36,16 @@ __all__ = [
     "inner_product",
 ]
 
-
-def _apply(ub: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Vector blocks (..., m, nb, nb) times a module map's R_b, shaped (..., n, nb, nb)."""
-    *lead, m, nb, _ = ub.shape
-    n = mat.shape[1] // nb
-    rows = np.swapaxes(ub, -3, -2).reshape(*lead, nb, m * nb) @ mat
-    return np.ascontiguousarray(np.swapaxes(rows.reshape(*lead, nb, n, nb), -3, -2))
+# Largest concrete dimension rank * dim(A) of a module loaded from a file or
+# of a torus form fiber.  A Laplacian on it has at most this many rows per
+# block, 64 MiB as one complex matrix.  The largest module the benchmark
+# builds is rank 24 over (3,), 216.
+MAX_MODULE_DIM = 2048
 
 
-def _entry_blocks(spec: AlgebraSpec, rank: int, entries) -> tuple:
-    """Stack a list of algebra elements into per-block arrays (rank, n, n)."""
-    if len(entries) != rank:
-        raise SpecMismatch(f"expected {rank} entries, got {len(entries)}")
-    out = []
-    for b, n in enumerate(spec.block_sizes):
-        arr = np.zeros((rank, n, n), dtype=complex)
-        for i, e in enumerate(entries):
-            if e.spec != spec:
-                raise SpecMismatch("entry over a different algebra spec")
-            arr[i] = e.blocks[b]
-        out.append(_freeze(arr))
-    return tuple(out)
+def _entry_slots(u_b: np.ndarray, rank: int, nb: int) -> np.ndarray:
+    """Row matrix U_b as an array (nb, rank, nb); [:, i, :] is entry i's block."""
+    return u_b.reshape(nb, rank, nb)
 
 
 class ModuleSpec:
@@ -143,37 +132,42 @@ class ModuleSpec:
 
     # -- vectors ---------------------------------------------------------------
 
+    def _zero_rows(self) -> list:
+        """One writable zero row matrix per block, to fill and wrap in a ModuleVector."""
+        return [np.zeros((nb, self.rank * nb), dtype=complex) for nb in self.algebra.block_sizes]
+
     def vector(self, entries) -> "ModuleVector":
-        return ModuleVector(self, _entry_blocks(self.algebra, self.rank, entries))
+        if len(entries) != self.rank:
+            raise SpecMismatch(f"expected {self.rank} entries, got {len(entries)}")
+        rows = self._zero_rows()
+        for i, e in enumerate(entries):
+            if e.spec != self.algebra:
+                raise SpecMismatch("entry over a different algebra spec")
+            for nb, u, eb in zip(self.algebra.block_sizes, rows, e.blocks):
+                _entry_slots(u, self.rank, nb)[:, i, :] = eb
+        return ModuleVector(self, rows)
 
     def zero_vector(self) -> "ModuleVector":
-        return ModuleVector(
-            self,
-            tuple(
-                _freeze(np.zeros((self.rank, n, n), dtype=complex))
-                for n in self.algebra.block_sizes
-            ),
-        )
+        return ModuleVector(self, self._zero_rows())
 
     def basis_vector(self, i: int) -> "ModuleVector":
         """Standard generator e_i with the algebra unit in slot i."""
         if not 0 <= i < self.rank:
             raise IndexError(f"slot {i} outside rank {self.rank}")
-        blocks = []
-        for n in self.algebra.block_sizes:
-            arr = np.zeros((self.rank, n, n), dtype=complex)
-            arr[i] = np.eye(n)
-            blocks.append(_freeze(arr))
-        return ModuleVector(self, tuple(blocks))
+        rows = self._zero_rows()
+        for nb, u in zip(self.algebra.block_sizes, rows):
+            _entry_slots(u, self.rank, nb)[:, i, :] = np.eye(nb)
+        return ModuleVector(self, rows)
 
     def random_vector(self, rng: np.random.Generator, scale: float = 1.0) -> "ModuleVector":
-        blocks = []
+        rows = []
         for n in self.algebra.block_sizes:
+            # entries drawn as (i, row, col), then laid out side by side
             z = rng.standard_normal((self.rank, n, n)) + 1j * rng.standard_normal(
                 (self.rank, n, n)
             )
-            blocks.append(_freeze(scale * z / np.sqrt(2.0)))
-        v = ModuleVector(self, tuple(blocks))
+            rows.append((scale * z / np.sqrt(2.0)).transpose(1, 0, 2).reshape(n, self.rank * n))
+        v = ModuleVector(self, rows)
         if self.projection is not None:
             v = self.project(v)
         return v
@@ -182,10 +176,7 @@ class ModuleSpec:
         """Apply the defining projection on the right (identity if free)."""
         if self.projection is None:
             return u
-        blocks = tuple(
-            _freeze(_apply(ub, pb)) for ub, pb in zip(u.blocks, self.projection)
-        )
-        return ModuleVector(self, blocks)
+        return ModuleVector(self, [ub @ pb for ub, pb in zip(u.rows, self.projection)])
 
     def contains(self, u: "ModuleVector", tol: float = 1e-9) -> bool:
         if u.module is not self and u.module != self:
@@ -196,35 +187,42 @@ class ModuleSpec:
 
     def from_vec(self, flat: np.ndarray) -> "ModuleVector":
         """Inverse of ModuleVector.vec for this module."""
-        d = self.algebra.dim
-        flat = np.asarray(flat, dtype=complex).reshape(self.rank * d)
-        blocks = []
-        for n, off in zip(self.algebra.block_sizes, self.algebra.block_offsets):
-            arr = np.zeros((self.rank, n, n), dtype=complex)
-            for i in range(self.rank):
-                seg = flat[i * d + off : i * d + off + n * n]
-                arr[i] = seg.reshape(n, n)
-            blocks.append(_freeze(arr))
-        return ModuleVector(self, tuple(blocks))
+        spec = self.algebra
+        flat = np.asarray(flat, dtype=complex).reshape(self.rank, spec.dim)
+        rows = self._zero_rows()
+        for n, off, u in zip(spec.block_sizes, spec.block_offsets, rows):
+            entries = flat[:, off : off + n * n].reshape(self.rank, n, n)
+            _entry_slots(u, self.rank, n)[...] = entries.transpose(1, 0, 2)
+        return ModuleVector(self, rows)
 
 
 class ModuleVector:
-    """Element of a module; one stacked array per algebra block."""
+    """Element of a module: one row matrix U_b of shape (n_b, rank*n_b) per block."""
 
-    __slots__ = ("module", "blocks")
+    __slots__ = ("module", "rows")
 
-    def __init__(self, module: ModuleSpec, blocks):
+    def __init__(self, module: ModuleSpec, rows):
         self.module = module
-        self.blocks = tuple(blocks)
+        rows = tuple(rows)
+        sizes = module.algebra.block_sizes
+        if len(rows) != len(sizes):
+            raise SpecMismatch(f"{len(rows)} row matrices, expected {len(sizes)}")
+        checked = []
+        for nb, u in zip(sizes, rows):
+            u = np.array(u, dtype=complex, order="C")
+            if u.shape != (nb, module.rank * nb):
+                raise SpecMismatch(
+                    f"row matrix of shape {u.shape}, expected {(nb, module.rank * nb)}"
+                )
+            checked.append(_freeze(u))
+        self.rows = tuple(checked)
 
     @property
     def entries(self):
-        out = []
-        for i in range(self.module.rank):
-            out.append(
-                AlgebraElement(self.module.algebra, [b[i] for b in self.blocks])
-            )
-        return out
+        m = self.module.rank
+        sizes = self.module.algebra.block_sizes
+        views = [_entry_slots(u, m, nb) for nb, u in zip(sizes, self.rows)]
+        return [AlgebraElement(self.module.algebra, [v[:, i, :] for v in views]) for i in range(m)]
 
     def _require_same_module(self, other: "ModuleVector"):
         if self.module != other.module:
@@ -232,24 +230,18 @@ class ModuleVector:
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._require_same_module(other)
-        return ModuleVector(
-            self.module,
-            tuple(_freeze(x + y) for x, y in zip(self.blocks, other.blocks)),
-        )
+        return ModuleVector(self.module, [x + y for x, y in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         self._require_same_module(other)
-        return ModuleVector(
-            self.module,
-            tuple(_freeze(x - y) for x, y in zip(self.blocks, other.blocks)),
-        )
+        return ModuleVector(self.module, [x - y for x, y in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.module, tuple(_freeze(-x) for x in self.blocks))
+        return ModuleVector(self.module, [-x for x in self.rows])
 
     def __mul__(self, c) -> "ModuleVector":
         c = complex(c)
-        return ModuleVector(self.module, tuple(_freeze(c * x) for x in self.blocks))
+        return ModuleVector(self.module, [c * x for x in self.rows])
 
     __rmul__ = __mul__
 
@@ -260,41 +252,28 @@ class ModuleVector:
 
     def vec(self) -> np.ndarray:
         """Flatten to C^{rank*d}; entry i occupies the slice [i*d, (i+1)*d)."""
-        d = self.module.algebra.dim
-        out = np.zeros(self.module.rank * d, dtype=complex)
-        for (n, off, blk) in zip(
-            self.module.algebra.block_sizes,
-            self.module.algebra.block_offsets,
-            self.blocks,
-        ):
-            for i in range(self.module.rank):
-                out[i * d + off : i * d + off + n * n] = blk[i].reshape(-1)
-        return out
+        spec = self.module.algebra
+        m = self.module.rank
+        out = np.zeros((m, spec.dim), dtype=complex)
+        for n, off, u in zip(spec.block_sizes, spec.block_offsets, self.rows):
+            out[:, off : off + n * n] = _entry_slots(u, m, n).transpose(1, 0, 2).reshape(m, n * n)
+        return out.reshape(-1)
 
     def __repr__(self):
         return f"ModuleVector(rank={self.module.rank}, norm={self.norm():.3g})"
 
 
 def act(a: AlgebraElement, u: ModuleVector) -> ModuleVector:
-    """Left action, a applied to every entry of u."""
+    """Left action, a applied to every entry of u: a_b U_b per block."""
     if a.spec != u.module.algebra:
         raise SpecMismatch("algebra element and module disagree on the algebra")
-    blocks = tuple(
-        _freeze(np.einsum("ab,ibc->iac", ab, ub))
-        for ab, ub in zip(a.blocks, u.blocks)
-    )
-    return ModuleVector(u.module, blocks)
+    return ModuleVector(u.module, [ab @ ub for ab, ub in zip(a.blocks, u.rows)])
 
 
 def inner_product(u: ModuleVector, v: ModuleVector) -> AlgebraElement:
-    """A-valued inner product sum_i v_i u_i*, conjugate-linear in u."""
+    """A-valued inner product sum_i v_i u_i*, conjugate-linear in u: V_b U_b* per block."""
     if u.module != v.module:
         raise SpecMismatch("vectors live in different modules")
-    out = []
-    for ub, vb in zip(u.blocks, v.blocks):
-        if ub.shape[0] == 0:
-            out.append(np.zeros((ub.shape[1], ub.shape[1]), dtype=complex))
-        else:
-            out.append(np.einsum("iab,icb->ac", vb, np.conj(ub)))
-    return AlgebraElement(u.module.algebra, out, copy=False)
-
+    return AlgebraElement(
+        u.module.algebra, [vb @ ub.conj().T for ub, vb in zip(u.rows, v.rows)], copy=False
+    )

@@ -28,7 +28,7 @@ from .algebra import AlgebraSpec
 from .chain import ChainComplex
 from .errors import CStarHodgeError, ParseError, ValidationError
 from .hom import Morphism, _entry_view, identity_morphism
-from .module import ModuleSpec
+from .module import MAX_MODULE_DIM, ModuleSpec, _entry_slots
 from .symbol import SymbolSample
 from .torus import TorusGeometry, TorusSection
 from .util import format_floats
@@ -37,12 +37,6 @@ COMPLEX_SCHEMA = "cstarhodge-complex/1"
 SAMPLES_SCHEMA = "cstarhodge-samples/1"
 SECTION_SCHEMA = "cstarhodge-section/1"
 REPORT_SCHEMA = "cstarhodge-report/1"
-
-# Largest rank * dim(A) a loaded module may have: the concrete dimension of
-# its shadow.  A degree's Laplacian then has at most this many rows per
-# block, 64 MiB as one complex matrix.  The largest module the benchmark
-# loads is rank 24 over (3,), 216.
-MAX_MODULE_DIM = 2048
 
 __all__ = [
     "COMPLEX_SCHEMA",
@@ -345,10 +339,12 @@ def sample_set_from_data(data, tol: float = 1e-9) -> list:
 def section_to_data(s: TorusSection) -> dict:
     geo = s.geometry
     coeffs = []
+    m = geo.form_fiber(s.degree).rank
     for q in s.support(tol=0.0):
-        vec = s.coefficient(q)
+        idx = geo.mode_index[q]
+        views = [_entry_slots(b[idx], m, nb) for nb, b in zip(geo.algebra.block_sizes, s.rows)]
         coeffs.append({"q": [int(x) for x in q], "value": [
-            _element_to([b[i] for b in vec.blocks]) for i in range(vec.module.rank)
+            _element_to([v[:, i, :] for v in views]) for i in range(m)
         ]})
     return {
         "schema": SECTION_SCHEMA,
@@ -386,8 +382,8 @@ def section_from_data(data) -> TorusSection:
     if not isinstance(raw_coeffs, list):
         _fail("section", "'coeffs' must be a list")
     m = per_mode.rank
-    blocks = [
-        np.zeros((geo.num_modes, m, nb, nb), dtype=complex)
+    rows = [
+        np.zeros((geo.num_modes, nb, m * nb), dtype=complex)
         for nb in algebra.block_sizes
     ]
     for i, c in enumerate(raw_coeffs):
@@ -406,9 +402,10 @@ def section_from_data(data) -> TorusSection:
         if not isinstance(value, list) or len(value) != m:
             _fail(where, f"'value' must list {m} module entries")
         idx = geo.mode_index[key]
+        views = [_entry_slots(b[idx], m, nb) for nb, b in zip(algebra.block_sizes, rows)]
         for e_i, entry in enumerate(value):
-            _element_into([b[idx, e_i] for b in blocks], entry, f"{where}.value[{e_i}]")
-    return TorusSection(geo, degree, blocks)
+            _element_into([v[:, e_i, :] for v in views], entry, f"{where}.value[{e_i}]")
+    return TorusSection(geo, degree, rows)
 
 
 # -- files ----------------------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .chain import ChainComplex, _pick_algebra, _shift_morphism, random_unitary_
 from .errors import EmptySampleSet, IndexOutOfRange, ZeroCoefficient
 from .hom import Morphism, singular_rank
 from .module import ModuleSpec
-from .util import parallel_map
 
 __all__ = [
     "SymbolSample",
@@ -260,15 +259,6 @@ class EllipticityCertificate:
         return self.verdict == "elliptic"
 
 
-def _scan_one(args):
-    sample, cutoff = args
-    degrees = []
-    for i in range(sample.top_degree + 1):
-        r = exactness_check(sample, i, cutoff)
-        degrees.append(r)
-    return degrees
-
-
 def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
     """Aggregate exactness over a sample set into one verdict.
 
@@ -280,7 +270,9 @@ def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
     samples = list(samples)
     if not samples:
         raise EmptySampleSet("no symbol samples to scan")
-    all_degrees = parallel_map(_scan_one, [(s, cutoff) for s in samples])
+    all_degrees = [
+        [exactness_check(s, i, cutoff) for i in range(s.top_degree + 1)] for s in samples
+    ]
 
     min_spectral = float("inf")
     min_decision = float("inf")

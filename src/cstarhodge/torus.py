@@ -14,6 +14,13 @@ from (1 + |q|^2)^t) together with their band-exact equivalence constants,
 a fully derived constant for the sup-norm bound on derivatives, and an
 elliptic-regularity gain estimate.  Everything is computed, nothing is
 hard-coded.
+
+A section keeps, per algebra block, one (modes, n_b, m*n_b) stack of the
+coefficients' row matrices (the layout of ModuleVector.rows), so a module
+map R_b acts on every mode at once as one batched product, and the fiber
+norms at a grid of points come from one product with the phase matrix.  The
+de Rham complex of each mode is built once as a ChainComplex on the
+geometry's cached form fibers.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .algebra import AlgebraElement, _freeze
 from .chain import ChainComplex, free_rank_of_projection
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
 from .hom import Morphism, identity_morphism
-from .module import ModuleSpec, ModuleVector, _apply
+from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
 from .symbol import (
     _scalar_morphism,
     de_rham_symbol_coeffs,
@@ -82,8 +89,10 @@ class TorusGeometry:
     """Torus dimension, Fourier band and fiber module.
 
     Raises ValidationError for a dimension below 1, a negative band limit,
-    more than MAX_MODES modes, or more than MAX_FORM_SLOTS modes times 2^n
-    exterior slots, before enumerating anything.
+    more than MAX_MODES modes, more than MAX_FORM_SLOTS modes times 2^n
+    exterior slots, or a largest form fiber, C(n, n // 2) copies of the
+    fiber, whose rank * dim(A) exceeds MAX_MODULE_DIM, before enumerating
+    anything.
     """
 
     def __init__(self, dimension: int, band_limit: int, fiber: ModuleSpec):
@@ -102,6 +111,13 @@ class TorusGeometry:
             raise ValidationError(
                 f"{side}^{n} modes times 2^{n} exterior slots exceed the cap of "
                 f"{MAX_FORM_SLOTS}"
+            )
+        # n <= 12 past the slot cap, so the binomial is small
+        widest = math.comb(n, n // 2) * fiber.rank * fiber.algebra.dim
+        if widest > MAX_MODULE_DIM:
+            raise ValidationError(
+                f"largest form fiber C({n}, {n // 2}) * rank {fiber.rank} * dim(A) "
+                f"{fiber.algebra.dim} = {widest} exceeds the cap of {MAX_MODULE_DIM}"
             )
         self.dimension = n
         self.band_limit = band
@@ -155,40 +171,48 @@ class TorusGeometry:
 
     def zero_section(self, degree: int) -> "TorusSection":
         m = self.form_fiber(degree).rank
-        blocks = tuple(
-            _freeze(np.zeros((self.num_modes, m, nb, nb), dtype=complex))
+        rows = [
+            np.zeros((self.num_modes, nb, m * nb), dtype=complex)
             for nb in self.algebra.block_sizes
-        )
-        return TorusSection(self, degree, blocks)
+        ]
+        return TorusSection(self, degree, rows)
 
 
 class TorusSection:
-    """Finite Fourier sum with module coefficients; immutable."""
+    """Finite Fourier sum with module coefficients; immutable.
 
-    __slots__ = ("geometry", "degree", "blocks")
+    Per algebra block it holds one (modes, n_b, m*n_b) stack ``rows``: the
+    row matrix (ModuleVector.rows) of every mode's coefficient, so one module
+    map R_b acts on all modes at once as rows[b] @ R_b.
+    """
 
-    def __init__(self, geometry: TorusGeometry, degree: int, blocks):
+    __slots__ = ("geometry", "degree", "rows")
+
+    def __init__(self, geometry: TorusGeometry, degree: int, rows):
         self.geometry = geometry
         self.degree = int(degree)
         m = geometry.form_fiber(self.degree).rank
+        rows = tuple(rows)
+        sizes = geometry.algebra.block_sizes
+        if len(rows) != len(sizes):
+            raise SpecMismatch(f"{len(rows)} coefficient stacks, expected {len(sizes)}")
         checked = []
-        for nb, arr in zip(geometry.algebra.block_sizes, blocks):
+        for nb, arr in zip(sizes, rows):
             arr = np.asarray(arr, dtype=complex)
-            if arr.shape != (geometry.num_modes, m, nb, nb):
+            if arr.shape != (geometry.num_modes, nb, m * nb):
                 raise SpecMismatch(
-                    f"coefficient block of shape {arr.shape}, expected "
-                    f"{(geometry.num_modes, m, nb, nb)}"
+                    f"coefficient stack of shape {arr.shape}, expected "
+                    f"{(geometry.num_modes, nb, m * nb)}"
                 )
             checked.append(_freeze(arr.copy()))
-        self.blocks = tuple(checked)
+        self.rows = tuple(checked)
 
     @classmethod
     def from_coefficients(cls, geometry: TorusGeometry, degree: int, coeffs: dict):
         """Build from a mapping mode tuple -> ModuleVector over the form fiber."""
         per_mode = geometry.form_fiber(degree)
-        m = per_mode.rank
-        blocks = [
-            np.zeros((geometry.num_modes, m, nb, nb), dtype=complex)
+        rows = [
+            np.zeros((geometry.num_modes, nb, per_mode.rank * nb), dtype=complex)
             for nb in geometry.algebra.block_sizes
         ]
         for q, vec in coeffs.items():
@@ -198,24 +222,21 @@ class TorusSection:
             if vec.module != per_mode:
                 raise SpecMismatch(f"coefficient at {key} in the wrong module")
             idx = geometry.mode_index[key]
-            for b, vb in enumerate(vec.blocks):
-                blocks[b][idx] = vb
-        return cls(geometry, degree, blocks)
+            for stack, u in zip(rows, vec.rows):
+                stack[idx] = u
+        return cls(geometry, degree, rows)
 
     def coefficient(self, q) -> ModuleVector:
         key = tuple(int(x) for x in q)
         if key not in self.geometry.mode_index:
             raise GeometryMismatch(f"mode {key} outside the band")
         idx = self.geometry.mode_index[key]
-        return ModuleVector(
-            self.geometry.form_fiber(self.degree),
-            tuple(_freeze(b[idx].copy()) for b in self.blocks),
-        )
+        return ModuleVector(self.geometry.form_fiber(self.degree), [b[idx] for b in self.rows])
 
     def support(self, tol: float = 0.0) -> list:
         """Modes carrying a coefficient above tol (in max-entry magnitude)."""
         mags = np.zeros(self.geometry.num_modes)
-        for b in self.blocks:
+        for b in self.rows:
             if b.size:
                 mags = np.maximum(mags, np.abs(b).reshape(self.geometry.num_modes, -1).max(axis=1))
         return [tuple(q) for q, m in zip(self.geometry.modes, mags) if m > tol]
@@ -227,22 +248,18 @@ class TorusSection:
     def __add__(self, other: "TorusSection") -> "TorusSection":
         self._require_compatible(other)
         return TorusSection(
-            self.geometry,
-            self.degree,
-            tuple(x + y for x, y in zip(self.blocks, other.blocks)),
+            self.geometry, self.degree, [x + y for x, y in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "TorusSection") -> "TorusSection":
         self._require_compatible(other)
         return TorusSection(
-            self.geometry,
-            self.degree,
-            tuple(x - y for x, y in zip(self.blocks, other.blocks)),
+            self.geometry, self.degree, [x - y for x, y in zip(self.rows, other.rows)]
         )
 
     def __mul__(self, c) -> "TorusSection":
         c = complex(c)
-        return TorusSection(self.geometry, self.degree, tuple(c * x for x in self.blocks))
+        return TorusSection(self.geometry, self.degree, [c * x for x in self.rows])
 
     __rmul__ = __mul__
 
@@ -255,10 +272,15 @@ class TorusSection:
         if values.shape != (self.geometry.num_modes,):
             raise GeometryMismatch("one multiplier value per mode required")
         return TorusSection(
-            self.geometry,
-            self.degree,
-            tuple(values[:, None, None, None] * b for b in self.blocks),
+            self.geometry, self.degree, [values[:, None, None] * b for b in self.rows]
         )
+
+    def _values(self, phases: np.ndarray) -> list:
+        """Per block, the row matrices sum_q phases[p, q] c_q, shaped (points, n_b, m*n_b)."""
+        return [
+            (phases @ b.reshape(len(b), -1)).reshape(len(phases), *b.shape[1:])
+            for b in self.rows
+        ]
 
     def evaluate(self, x) -> ModuleVector:
         """Pointwise value sum_q c_q exp(2 pi i <q, x>)."""
@@ -266,10 +288,9 @@ class TorusSection:
         if x.shape != (self.geometry.dimension,):
             raise GeometryMismatch(f"point of shape {x.shape}")
         phases = np.exp(2j * np.pi * (self.geometry.modes @ x))
-        blocks = tuple(
-            _freeze(np.einsum("q,qiab->iab", phases, b)) for b in self.blocks
+        return ModuleVector(
+            self.geometry.form_fiber(self.degree), [v[0] for v in self._values(phases[None])]
         )
-        return ModuleVector(self.geometry.form_fiber(self.degree), blocks)
 
     def derivative(self, alpha) -> "TorusSection":
         """Spectral partial derivative: multiply mode q by prod (2 pi i q_j)^a_j."""
@@ -281,23 +302,28 @@ class TorusSection:
         return self.scale_modes(factors)
 
     def norm_at_points(self, points: np.ndarray) -> np.ndarray:
-        """Fiber norms |s(x)| at many points, vectorized over the grid."""
+        """Fiber norms |s(x)| at many points: one product with the phase matrix per block."""
         points = np.asarray(points, dtype=float)
         phases = np.exp(2j * np.pi * (points @ self.geometry.modes.T))  # (P, M)
-        best = np.zeros(len(points))
-        for b in self.blocks:
-            if not b.size:
-                continue
-            vals = np.einsum("pq,qiab->piab", phases, b)
-            gram = np.einsum("piab,picb->pac", vals, np.conj(vals))
-            lam = np.linalg.eigvalsh(gram)[:, -1]
-            best = np.maximum(best, np.maximum(lam, 0.0))
-        return np.sqrt(best)
+        return np.sqrt(_fiber_norms_sq(self._values(phases), len(points)))
 
     def __repr__(self):
         return (
             f"TorusSection(degree={self.degree}, {self.geometry!r})"
         )
+
+
+def _fiber_norms_sq(stacks, count: int) -> np.ndarray:
+    """Squared fiber norms |u|^2 of count vectors given by their row matrices.
+
+    stacks holds one (count, n_b, m*n_b) batch per algebra block; |u|^2 is
+    the largest eigenvalue of the fiber Gram U_b U_b* over the blocks.
+    """
+    out = np.zeros(count)
+    for b in stacks:
+        lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(1, 2))[:, -1]
+        out = np.maximum(out, lam)
+    return np.maximum(out, 0.0)
 
 
 def _check_multi_index(alpha, n: int) -> tuple:
@@ -313,38 +339,40 @@ def random_section(
     geometry: TorusGeometry, degree: int, rng: np.random.Generator, scale: float = 1.0
 ) -> TorusSection:
     m = geometry.form_fiber(degree).rank
-    blocks = []
+    rows = []
     for nb in geometry.algebra.block_sizes:
+        # coefficients drawn as (mode, i, row, col), then laid out as row matrices
         shape = (geometry.num_modes, m, nb, nb)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        blocks.append(scale * z / np.sqrt(2.0))
-    s = TorusSection(geometry, degree, blocks)
-    if geometry.fiber.projection is not None:
-        s = _apply_per_mode_morphism(s, identity_morphism(geometry.form_fiber(degree)))
-    return s
-
-
-def _apply_per_mode_morphism(s: TorusSection, t: Morphism) -> TorusSection:
-    """Apply one module map to every coefficient (same map for all modes)."""
-    return TorusSection(
-        s.geometry, s.degree, tuple(_apply(sb, r) for sb, r in zip(s.blocks, t.mats))
-    )
+        rows.append((scale * z / np.sqrt(2.0)).transpose(0, 2, 1, 3).reshape(-1, nb, m * nb))
+    projection = geometry.form_fiber(degree).projection
+    if projection is not None:
+        rows = [b @ p for b, p in zip(rows, projection)]
+    return TorusSection(geometry, degree, rows)
 
 
 # -- products and norms ---------------------------------------------------------------
 
 
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """(modes, n_b, m*n_b) stack -> one n_b x (modes*m*n_b) row matrix, modes in order."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+
+def _weighted_product(s1: TorusSection, s2: TorusSection, weights: np.ndarray) -> AlgebraElement:
+    """sum_q weights[q] (c1_q, c2_q), one product V_b U_b* per block."""
+    s1._require_compatible(s2)
+    out = [
+        _side_by_side(weights[:, None, None] * vb) @ _side_by_side(ub).conj().T
+        for ub, vb in zip(s1.rows, s2.rows)
+    ]
+    return AlgebraElement(s1.geometry.algebra, out, copy=False)
+
+
 def section_product(s1: TorusSection, s2: TorusSection) -> AlgebraElement:
     """A-valued pairing sum_q (c1_q, c2_q); equals the grid average of the
     pointwise fiber products because the phases are orthonormal."""
-    s1._require_compatible(s2)
-    out = []
-    for ub, vb in zip(s1.blocks, s2.blocks):
-        if ub.size == 0:
-            out.append(np.zeros((ub.shape[2], ub.shape[2]), dtype=complex))
-        else:
-            out.append(np.einsum("qiab,qicb->ac", vb, np.conj(ub)))
-    return AlgebraElement(s1.geometry.algebra, out, copy=False)
+    return _weighted_product(s1, s2, np.ones(s1.geometry.num_modes))
 
 
 def _sobolev_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
@@ -357,33 +385,13 @@ def _fourier_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
 
 def sobolev_product(s1: TorusSection, s2: TorusSection, t: float) -> AlgebraElement:
     """Pairing weighted by (1 + 4 pi^2 |q|^2)^t, the metric Sobolev product."""
-    s1._require_compatible(s2)
-    w = _sobolev_weights(s1.geometry, t)
-    out = []
-    for ub, vb in zip(s1.blocks, s2.blocks):
-        if ub.size == 0:
-            out.append(np.zeros((ub.shape[2], ub.shape[2]), dtype=complex))
-        else:
-            out.append(np.einsum("q,qiab,qicb->ac", w, vb, np.conj(ub)))
-    return AlgebraElement(s1.geometry.algebra, out, copy=False)
-
-
-def _mode_norms_sq_fiber(s: TorusSection) -> np.ndarray:
-    """Squared fiber norm of each coefficient, |c_q|^2."""
-    out = np.zeros(s.geometry.num_modes)
-    for b in s.blocks:
-        if not b.size:
-            continue
-        gram = np.einsum("qiab,qicb->qac", b, np.conj(b))
-        lam = np.linalg.eigvalsh(gram)[:, -1]
-        out = np.maximum(out, np.maximum(lam, 0.0))
-    return out
+    return _weighted_product(s1, s2, _sobolev_weights(s1.geometry, t))
 
 
 def fourier_norm(s: TorusSection, t: float) -> float:
     """Scalar norm sqrt(sum_q |c_q|^2 (1 + |q|^2)^t)."""
     w = _fourier_weights(s.geometry, t)
-    return float(np.sqrt(np.sum(w * _mode_norms_sq_fiber(s))))
+    return float(np.sqrt(np.sum(w * _fiber_norms_sq(s.rows, s.geometry.num_modes))))
 
 
 def product_norm(s: TorusSection, t: float) -> float:
@@ -638,89 +646,68 @@ def de_rham_complex(geometry: TorusGeometry) -> ChainComplex:
 
 def section_as_total_vector(s: TorusSection) -> ModuleVector:
     """Flatten a section into the assembled module of its degree."""
-    geo = s.geometry
-    total = geo.total_module(s.degree)
-    m = geo.form_fiber(s.degree).rank
-    blocks = []
-    for b in s.blocks:
-        nb = b.shape[2]
-        blocks.append(_freeze(b.reshape(geo.num_modes * m, nb, nb).copy()))
-    return ModuleVector(total, tuple(blocks))
+    return ModuleVector(s.geometry.total_module(s.degree), [_side_by_side(b) for b in s.rows])
 
 
 def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list:
     """Mode-diagonal harmonic analysis of the de Rham complex.
 
-    For each degree the per-mode Laplacian is checked against the scalar
-    multiplier 4 pi^2 |q|^2 and its kernel dimensions are accumulated; only
-    the zero mode may contribute.  Reports the concrete harmonic dimension,
-    the free rank read from the zero-mode projection, and the expected
-    binomial(n, k) * fiber values.
+    Each mode q has its own de Rham complex: the form fibers with the symbol
+    maps (wedging with 2 pi i q) between them, built once per mode as a
+    ChainComplex.  For each degree its Laplacian is checked against the
+    scalar multiplier 4 pi^2 |q|^2 and its kernel dimensions are
+    accumulated; only the zero mode may contribute.  D D = 0 is reported as
+    the largest raw norm of consecutive symbol maps.  Reports the concrete
+    harmonic dimension, the free rank read from the zero-mode projection,
+    and the expected binomial(n, k) * fiber values.
     """
     n = geometry.dimension
     r = geometry.fiber.rank
-
-    def symbol(k, q):
-        return _scalar_morphism(
-            geometry.form_fiber(k),
-            geometry.form_fiber(k + 1),
-            de_rham_symbol_coeffs(n, k, q, r),
-        )
-
+    fibers = [geometry.form_fiber(k) for k in range(n + 1)]
+    idents = [identity_morphism(f) for f in fibers]
     reports = []
     for k in range(n + 1):
-        per_mode = geometry.form_fiber(k)
-        expected_dim = len(exterior_basis(n, k)) * geometry.fiber.concrete_dim
-        expected_free = (
-            len(exterior_basis(n, k)) * geometry.fiber.rank
-            if geometry.fiber.projection is None
-            else None
-        )
-        harmonic_dim = 0
-        worst_multiplier = 0.0
-        worst_square = 0.0
-        kernel_modes = []
-        free_rank = None
-        ident = identity_morphism(per_mode)
-        for q in geometry.modes:
-            qsq = float(np.sum(q.astype(float) ** 2))
-            below = symbol(k - 1, q) if k > 0 else None
-            above = symbol(k, q) if k < n else None
-            lap = None
-            if below is not None:
-                lap = below @ below.adjoint()
-            if above is not None:
-                term = above.adjoint() @ above
-                lap = term if lap is None else lap + term
-            if above is not None and k + 1 < n:
-                nxt = symbol(k + 1, q)
-                worst_square = max(worst_square, (nxt @ above).norm())
-            worst_multiplier = max(
-                worst_multiplier,
-                (lap - (4.0 * np.pi**2 * qsq) * ident).norm(),
-            )
-            nullity = per_mode.concrete_dim - lap.concrete_rank(cutoff)
-            if nullity:
-                kernel_modes.append(tuple(int(x) for x in q))
-                harmonic_dim += nullity
-            if qsq == 0.0:
-                free_rank = free_rank_of_projection(lap.kernel_projection(cutoff))
+        slots = len(exterior_basis(n, k))
         reports.append(
             {
                 "degree": k,
-                "harmonic_dim": harmonic_dim,
-                "expected_dim": expected_dim,
-                "free_rank": free_rank,
-                "expected_free_rank": expected_free,
-                "kernel_modes": kernel_modes,
-                "max_multiplier_residual": worst_multiplier,
-                "max_square_residual": worst_square,
-                "passed": (
-                    harmonic_dim == expected_dim
-                    and kernel_modes == [tuple([0] * n)]
-                    and (expected_free is None or free_rank == expected_free)
-                ),
+                "harmonic_dim": 0,
+                "expected_dim": slots * geometry.fiber.concrete_dim,
+                "free_rank": None,
+                "expected_free_rank": slots * r if geometry.fiber.projection is None else None,
+                "kernel_modes": [],
+                "max_multiplier_residual": 0.0,
+                "max_square_residual": 0.0,
             }
+        )
+    for q, qsq in zip(geometry.modes, geometry.mode_norms_sq()):
+        maps = [
+            _scalar_morphism(fibers[k], fibers[k + 1], de_rham_symbol_coeffs(n, k, q, r))
+            for k in range(n)
+        ]
+        cx = ChainComplex(fibers, maps, validate=False)
+        for k, rep in enumerate(reports):
+            lap = cx.laplacian(k)
+            if k + 1 < n:
+                rep["max_square_residual"] = max(
+                    rep["max_square_residual"], (maps[k + 1] @ maps[k]).norm()
+                )
+            rep["max_multiplier_residual"] = max(
+                rep["max_multiplier_residual"],
+                (lap - (4.0 * np.pi**2 * qsq) * idents[k]).norm(),
+            )
+            nullity = fibers[k].concrete_dim - lap.concrete_rank(cutoff)
+            if nullity:
+                rep["kernel_modes"].append(tuple(int(x) for x in q))
+                rep["harmonic_dim"] += nullity
+            if qsq == 0.0:
+                rep["free_rank"] = free_rank_of_projection(lap.kernel_projection(cutoff))
+    for rep in reports:
+        expected_free = rep["expected_free_rank"]
+        rep["passed"] = (
+            rep["harmonic_dim"] == rep["expected_dim"]
+            and rep["kernel_modes"] == [tuple([0] * n)]
+            and (expected_free is None or rep["free_rank"] == expected_free)
         )
     return reports
 

@@ -1,14 +1,10 @@
-"""Small shared helpers: seeding, parallel mapping, report formatting."""
+"""Small shared helpers: seeding and report formatting."""
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-THREADS_ENV = "HODGE_CSTAR_THREADS"
 
 
 def rng_for(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -21,29 +17,6 @@ def rng_for(seed: int, suite: str, index: int) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{suite}:{index}".encode()).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64).copy()
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, k)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; threads bounded by HODGE_CSTAR_THREADS.
-
-    Work items must be independent.  Results are collected by index so the
-    output, and everything derived from it, is order-independent.
-    """
-    items = list(items)
-    k = thread_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
 
 
 def round17(x: float) -> float:

@@ -1,9 +1,11 @@
 """Per-block harmonic_basis and kernel_intersection_check against the shadow.
 
-The reference functions below are the earlier implementations of the two
-diagnostics, which stack dense shadow matrices (Morphism.embed) and take one
-SVD of the stack.  The per-block versions must span the same harmonic space
-and count the same nullities.
+The reference functions below work on dense shadow matrices
+(Morphism.embed): they confine the stacked operators to the module through
+an orthonormal basis Q of the range of its shadow projection and take one
+SVD of the confined stack, cutting at cutoff times its largest singular
+value.  The per-block versions must span the same harmonic space and count
+the same nullities.
 """
 
 import numpy as np
@@ -19,45 +21,36 @@ from test_hom import ORACLE_ALGEBRAS, _projective
 CUTOFF = 1e-10
 
 
-def _membership_rows(cx, i):
-    """Rows whose kernel is the projective submodule (None when free)."""
-    mod = cx.modules[i]
-    if mod.projection is None:
-        return None
-    ident = identity_morphism(mod).embed()
-    return np.eye(ident.shape[0]) - ident
+def _frame(cx, i):
+    """Orthonormal columns Q spanning module i in vec coordinates."""
+    ident = identity_morphism(cx.modules[i]).embed()
+    if cx.modules[i].projection is None:
+        return np.eye(ident.shape[0], dtype=complex)
+    w, v = np.linalg.eigh(ident)
+    return v[:, w > 0.5]
 
 
-def _stack(cx, i, mats):
-    member = _membership_rows(cx, i)
-    return np.vstack(mats + ([member] if member is not None else []))
+def _null_columns(cx, i, mats, cutoff):
+    """Orthonormal columns spanning the vectors of module i that every shadow in mats kills."""
+    q = _frame(cx, i)
+    stack = np.vstack(mats) @ q
+    if not stack.any():
+        return q
+    _, s, vh = np.linalg.svd(stack)
+    rank, _ = singular_rank(s, cutoff)
+    return q @ vh[rank:].conj().T
 
 
 def shadow_harmonic_basis(cx, i, cutoff):
     """Columns: an orthonormal basis of Ker L_i inside the module, in vec coordinates."""
-    stack = _stack(cx, i, [cx.laplacian(i).embed()])
-    if stack.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if not stack.any():
-        return np.eye(stack.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(stack)
-    rank, _ = singular_rank(s, cutoff)
-    return vh[rank:].conj().T
+    return _null_columns(cx, i, [cx.laplacian(i).embed()], cutoff)
 
 
 def shadow_intersection_nullity(cx, i, cutoff):
-    """dim (Ker D_i cap Ker D_{i-1}* inside the module) from one stacked SVD."""
+    """dim (Ker D_i cap Ker D_{i-1}* inside the module) from one confined SVD."""
     d_out = cx.differential(i).embed()
     d_in_adj = cx.differential(i - 1).adjoint().embed()
-    stack = _stack(cx, i, [d_out, d_in_adj])
-    if stack.shape[1] == 0:
-        return 0
-    if not stack.any():
-        return cx.modules[i].concrete_dim
-    s = np.linalg.svd(stack, compute_uv=False)
-    rank, _ = singular_rank(s, cutoff)
-    # the membership rows already confine the kernel to the submodule
-    return stack.shape[1] - rank
+    return _null_columns(cx, i, [d_out, d_in_adj], cutoff).shape[1]
 
 
 def _projective_complex(alg, rng):
@@ -105,3 +98,29 @@ def test_per_block_diagnostics_match_stacked_shadow(blocks):
             rep = cx.kernel_intersection_check(i, CUTOFF)
             assert rep["intersection_nullity"] == shadow_intersection_nullity(cx, i, CUTOFF)
     assert projective_degrees >= 5
+
+
+def test_near_identity_projective_module_keeps_its_harmonics():
+    # the projection is the identity up to roundoff, so with a zero map every
+    # vector of degree 1 is harmonic; the roundoff in 1 - P_b must not set the cut
+    alg = AlgebraSpec((1,))
+    free, proj = ModuleSpec(alg, 2), _projective(alg, 2, rng_for(5, "diagnostics-near-one", 0))
+    assert 0.0 < np.abs(np.eye(2) - proj.projection[0]).max() < 1e-14
+    cx = ChainComplex([free, proj], [Morphism.zero(free, proj)])
+    rep = cx.kernel_intersection_check(1, CUTOFF)
+    assert rep["laplacian_nullity"] == rep["intersection_nullity"] == 2
+    assert len(cx.harmonic_basis(1, CUTOFF)) == cx.cohomology_report(1).harmonic_dim == 2
+    assert shadow_harmonic_basis(cx, 1, CUTOFF).shape[1] == 2
+
+
+def test_kernel_cut_is_global_over_blocks():
+    # the M2 block of D lies far below cutoff times the largest singular value
+    # over all blocks, so there it counts as zero, as in cohomology_report
+    alg = AlgebraSpec((1, 2))
+    one = ModuleSpec(alg, 1)
+    cx = ChainComplex([one, one], [Morphism(one, one, [np.eye(1), 1e-12 * np.eye(2)])])
+    for i in range(2):
+        rep = cx.kernel_intersection_check(i, CUTOFF)
+        assert rep["laplacian_nullity"] == rep["intersection_nullity"] == 4
+        assert len(cx.harmonic_basis(i, CUTOFF)) == cx.cohomology_report(i).harmonic_dim == 4
+        assert shadow_harmonic_basis(cx, i, CUTOFF).shape[1] == 4

@@ -44,7 +44,7 @@ def test_entry_and_call():
     c = 1.5 - 0.5j
     t = Morphism.from_entries(mod, mod, [[alg.scalar(c)]])
     u = mod.vector([alg.unit()])
-    assert abs(t(u).blocks[0][0][0, 0] - c) < 1e-15
+    assert abs(t(u).entries[0].blocks[0][0, 0] - c) < 1e-15
 
 
 def test_shadow_is_homomorphism():

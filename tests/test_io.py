@@ -80,7 +80,7 @@ def test_section_roundtrip(tmp_path):
     serial.save_section(path, s)
     s2 = serial.load_section(path)
     assert s2.geometry == geo and s2.degree == 1
-    for b1, b2 in zip(s.blocks, s2.blocks):
+    for b1, b2 in zip(s.rows, s2.rows):
         assert np.allclose(b1, b2, atol=1e-15)
 
 
@@ -347,3 +347,13 @@ def test_cli_torus_demo_size_caps(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(itertools, "product", modes_only)
     assert run_cli(["torus-demo", "--fiber", "1x1"] + argv)[0] == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_torus_demo_fiber_cap(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("modes listed before the fiber was checked")
+
+    monkeypatch.setattr(itertools, "product", no_enumeration)
+    argv = ["torus-demo", "--n", "1", "--band", "0", "--suite", "derham", "--fiber", "3000x1"]
+    assert run_cli(argv)[0] == 2
+    assert "rank 3000 * dim(A) 1 = 3000 exceeds the cap of 2048" in capsys.readouterr().err

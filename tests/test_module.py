@@ -34,8 +34,8 @@ def test_action_matches_concrete():
         # concrete shadow: block-diagonal left multiplication entrywise
         got = act(a, u)
         for i in range(mod.rank):
-            want = a.blocks[0] @ u.blocks[0][i]
-            assert np.allclose(got.blocks[0][i], want, atol=1e-13)
+            want = a.blocks[0] @ u.entries[i].blocks[0]
+            assert np.allclose(got.entries[i].blocks[0], want, atol=1e-13)
         assert np.allclose(got.vec(), np.kron(np.eye(mod.rank), a.embed()) @ u.vec(), atol=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_inner_product_oracle():
     for _ in range(20):
         u, v = mod.random_vector(rng), mod.random_vector(rng)
         want = sum(
-            v.blocks[0][i] @ u.blocks[0][i].conj().T for i in range(mod.rank)
+            v.entries[i].blocks[0] @ u.entries[i].blocks[0].conj().T for i in range(mod.rank)
         )
         assert np.allclose(inner_product(u, v).blocks[0], want, atol=1e-13)
 
@@ -110,7 +110,7 @@ def test_projective_membership():
     u = mod.random_vector(rng)
     assert mod.contains(u)
     # the projection acts on the right, so the complement column vanishes
-    assert np.allclose(u.blocks[0][0][:, 1], 0.0)
+    assert np.allclose(u.entries[0].blocks[0][:, 1], 0.0)
 
 
 def test_wrong_module_arithmetic_rejected():
@@ -134,3 +134,35 @@ def test_projection_shape_checked():
     ):
         with pytest.raises(SpecMismatch, match="projection"):
             ModuleSpec(alg, 1, projection=bad)
+
+
+def test_vector_shape_checked():
+    alg = AlgebraSpec((2, 1))
+    mod = ModuleSpec(alg, 3)
+    # one n_b x (rank*n_b) row matrix per block
+    rows = [np.zeros((2, 6)), np.zeros((1, 3))]
+    for bad in (
+        rows[:1],  # a block missing
+        rows + [np.zeros((1, 3))],  # a block too many
+        [np.zeros((2, 4)), np.zeros((1, 3))],  # rank 2 shape for rank 3
+        [np.zeros((6, 2)), np.zeros((3, 1))],  # transposed
+        [np.zeros((3, 2, 2)), np.zeros((3, 1, 1))],  # entry layout (rank, n_b, n_b)
+    ):
+        with pytest.raises(SpecMismatch, match="row matri"):
+            ModuleVector(mod, bad)
+    assert ModuleVector(mod, rows).norm() == 0.0
+
+
+def test_entries_roundtrip_through_rows():
+    alg = AlgebraSpec((2, 1))
+    mod = ModuleSpec(alg, 3)
+    rng = rng_for(1, "module-rows", 0)
+    entries = [alg.random(rng) for _ in range(mod.rank)]
+    u = mod.vector(entries)
+    assert all((a - b).norm() == 0.0 for a, b in zip(u.entries, entries))
+    # entry i's block sits in columns [i*n_b, (i+1)*n_b) of the row matrix
+    for b, nb in enumerate(alg.block_sizes):
+        for i, e in enumerate(entries):
+            assert np.array_equal(u.rows[b][:, i * nb : (i + 1) * nb], e.blocks[b])
+    e1 = np.hstack([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
+    assert np.array_equal(mod.basis_vector(1).rows[0], e1)

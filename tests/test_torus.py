@@ -6,7 +6,7 @@ import pytest
 
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge import torus
-from cstarhodge.errors import GeometryMismatch, HypothesisViolated, ValidationError
+from cstarhodge.errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
 from cstarhodge.module import ModuleSpec, inner_product
 from cstarhodge.torus import (
     FourierMultiplier,
@@ -72,7 +72,7 @@ def test_evaluate_constant_and_single_mode():
     x = 0.3
     got = wave.evaluate(np.array([x]))
     want = np.exp(2j * np.pi * x)
-    assert abs(got.blocks[0][0][0, 0] - want) < 1e-14
+    assert abs(got.entries[0].blocks[0][0, 0] - want) < 1e-14
 
 
 def test_evaluate_matches_direct_sum():
@@ -234,7 +234,7 @@ def test_multiplier_identity_and_adjoint():
     rng = rng_for(6, "torus-mult", 0)
     s1, s2 = random_section(geo, 0, rng), random_section(geo, 0, rng)
     ident = FourierMultiplier.identity(geo, 0)
-    assert (ident.apply(s1) - s1).blocks[0].size == s1.blocks[0].size
+    assert (ident.apply(s1) - s1).rows[0].size == s1.rows[0].size
     assert (ident.apply(s1) - s1).coefficient((0, 0)).norm() < 1e-15
     values = rng.standard_normal(geo.num_modes) + 1j * rng.standard_normal(geo.num_modes)
     m = FourierMultiplier(geo, 0, values)
@@ -257,7 +257,7 @@ def test_derham_n1_is_2pi_iq():
     image = section_as_total_vector(s)
     got = d0(image)
     mult = FourierMultiplier(geo, 1, 2j * np.pi * geo.modes[:, 0].astype(complex))
-    want = section_as_total_vector(mult.apply(TorusSection(geo, 1, s.blocks)))
+    want = section_as_total_vector(mult.apply(TorusSection(geo, 1, s.rows)))
     assert (got - want).norm() < 1e-12
     # the zero mode is annihilated
     const = TorusSection.from_coefficients(geo, 0, {(0,): geo.form_fiber(0).basis_vector(0)})
@@ -322,7 +322,7 @@ def test_regularity_single_mode():
     f = TorusSection.from_coefficients(geo, 0, {q: u0})
     u, _ = laplace_solve(f)
     expect = 1.0 / (4 * math.pi**2 * 5.0)
-    assert abs(u.coefficient(q).blocks[0][0][0, 0] - expect) < 1e-15
+    assert abs(u.coefficient(q).entries[0].blocks[0][0, 0] - expect) < 1e-15
 
 
 def test_regularity_report_random():
@@ -403,3 +403,38 @@ def test_embedding_grid_cap_boundary(monkeypatch):
     assert embedding_check(s, 2.0, (0,))["grid_points"] == 8  # 8 points * 3 modes
     with pytest.raises(ValidationError, match="9 grid points times 3 modes"):
         embedding_check(s, 2.0, (0,), grid=9)
+
+
+def test_form_fiber_cap(monkeypatch):
+    # the widest form fiber, C(n, n // 2) copies of the fiber, is capped too
+    monkeypatch.setattr(itertools, "product", _no_enumeration)
+    for n, fiber in (
+        (1, ModuleSpec(AlgebraSpec((1,)), 3000)),
+        (12, ModuleSpec(AlgebraSpec((1,)), 3)),  # C(12, 6) = 924, times 3
+        (2, ModuleSpec(AlgebraSpec((46,)), 1)),
+    ):
+        with pytest.raises(ValidationError, match="largest form fiber .* exceeds the cap of 2048"):
+            TorusGeometry(n, 0, fiber)
+
+
+def test_form_fiber_cap_boundary(monkeypatch):
+    assert TorusGeometry(12, 0, SCALAR).num_modes == 1  # 924 under the real cap
+    monkeypatch.setattr(torus, "MAX_MODULE_DIM", 12)
+    for n, blocks, rank in ((4, (1,), 2), (1, (2,), 3), (2, (1, 1, 2), 1)):
+        assert TorusGeometry(n, 1, ModuleSpec(AlgebraSpec(blocks), rank)).dimension == n
+    for n, blocks, rank in ((5, (1,), 2), (1, (1,), 13), (2, (2, 2), 1)):
+        with pytest.raises(ValidationError, match="exceeds the cap of 12"):
+            TorusGeometry(n, 0, ModuleSpec(AlgebraSpec(blocks), rank))
+
+
+def test_section_stack_shape_checked():
+    alg = AlgebraSpec((2, 1))
+    geo = TorusGeometry(1, 1, ModuleSpec(alg, 2))
+    s = random_section(geo, 1, rng_for(6, "torus-stack", 0))
+    assert [b.shape for b in s.rows] == [(3, 2, 4), (3, 1, 2)]
+    for bad in (
+        s.rows[:1],
+        [np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 1, 1))],  # entry layout (modes, m, n_b, n_b)
+    ):
+        with pytest.raises(SpecMismatch):
+            TorusSection(geo, 1, bad)
