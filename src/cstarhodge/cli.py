@@ -50,7 +50,6 @@ RESIDUAL_NAMES = {
     "green_kills_projector": "g p = 0",
     "projector_idempotent": "p p = p",
     "projector_after_differential": "p[i+1] D[i] = 0",
-    "green_commutes_with_differential": "D[i] g[i] = g[i+1] D[i]",
     "green_commutes": "D[i] g[i] = g[i+1] D[i]",
     "laplacian_commutes": "D[i] lap[i] = lap[i+1] D[i]",
     "differential_after_projector": "D[i] p[i] = 0",
@@ -107,12 +106,7 @@ def _check_eq(name: str, value, expected) -> dict:
 
 
 def _residual_checks(residuals: dict, tol: float) -> list:
-    out = []
-    for key in sorted(residuals):
-        if key not in RESIDUAL_NAMES:
-            continue
-        out.append(_check_le(RESIDUAL_NAMES[key], residuals[key], tol))
-    return out
+    return [_check_le(RESIDUAL_NAMES[key], residuals[key], tol) for key in sorted(residuals)]
 
 
 def _section_passed(section: dict) -> bool:
@@ -379,6 +373,8 @@ def _demo_regularity(geometry: TorusGeometry, args, config: RunConfig) -> dict:
 def cmd_torus_demo(args, config: RunConfig) -> tuple:
     if args.t is not None and not math.isfinite(args.t):
         raise ValidationError(f"need a finite Sobolev index, got --t {args.t:g}")
+    if args.sections < 1:
+        raise ValidationError(f"need at least one section, got --sections {args.sections}")
     rank, blocks = _parse_fiber(args.fiber)
     geometry = TorusGeometry(args.n, args.band, ModuleSpec(AlgebraSpec(blocks), rank))
     suites = ["derham", "embedding", "regularity"] if args.suite == "all" else [args.suite]

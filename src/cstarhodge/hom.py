@@ -19,9 +19,12 @@ Flattening each module by ModuleVector.vec turns T into its dense shadow
 sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with
 blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
-value over all blocks.  The shadow
-(``embed``) and its pullback ``morphism_from_concrete`` stay as the oracles
-the tests check these numerics against.
+value over all blocks.  A map's singular values come from one values-only
+SVD per block, cached by singular_values alone; pseudoinverse cuts at the
+largest value of its own full SVDs, so neither result depends on which of
+the two ran first.  The shadow (``embed``) and its pullback
+``morphism_from_concrete`` stay as the oracles the tests check these
+numerics against.
 """
 
 from __future__ import annotations
@@ -208,24 +211,19 @@ class Morphism:
 
     # -- per-block numerics ------------------------------------------------------
 
-    def _block_svds(self, compute_uv: bool) -> list:
-        """SVD of each R_b, filling the merged singular value cache on the way."""
-        svds = [
-            np.linalg.svd(r, full_matrices=False, compute_uv=compute_uv)
-            for r in self.mats
-        ]
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the shadow, descending: each block's values n_b times.
+
+        The only writer of the cache: one values-only SVD per block.
+        """
         if self._svals is None:
-            per_block = [f.S if compute_uv else f for f in svds]
             merged = np.concatenate(
-                [np.repeat(s, nb) for nb, s in zip(self.algebra.block_sizes, per_block)]
+                [
+                    np.repeat(np.linalg.svd(r, compute_uv=False), nb)
+                    for nb, r in zip(self.algebra.block_sizes, self.mats)
+                ]
             )
             self._svals = _freeze(-np.sort(-merged))
-        return svds
-
-    def singular_values(self) -> np.ndarray:
-        """Singular values of the shadow, descending: each block's values n_b times."""
-        if self._svals is None:
-            self._block_svds(compute_uv=False)
         return self._svals
 
     def norm(self) -> float:
@@ -245,23 +243,17 @@ class Morphism:
         """Moore-Penrose pseudoinverse, singular values at or below cutoff*smax dropped.
 
         The pseudoinverse of each R_b is taken with the threshold set by the
-        largest singular value over all blocks, so a block whose values all
-        sit below it contributes zero.
+        largest singular value over all blocks, read from this call's own
+        SVDs, so a block whose values all sit below it contributes zero and
+        the singular value cache is left to singular_values.
         """
-        svds = self._block_svds(compute_uv=True)
-        s = self.singular_values()
-        if s.size == 0 or s[0] <= 0.0:
-            return Morphism.zero(self.target, self.source)
-        thresh = cutoff * s[0]
+        svds = [np.linalg.svd(r, full_matrices=False) for r in self.mats]
+        thresh = cutoff * max((f.S[0] for f in svds if f.S.size), default=0.0)
         mats = []
         for u, sb, vh in svds:
             keep = sb > thresh
             mats.append((vh[keep].conj().T / sb[keep]) @ u[:, keep].conj().T)
         return Morphism(self.target, self.source, mats)
-
-    def kernel_projection(self, cutoff: float = 1e-10) -> "Morphism":
-        """Orthogonal projection onto the kernel: module identity minus T+T."""
-        return identity_morphism(self.source) - self.pseudoinverse(cutoff) @ self
 
     def range_decomposition(self, cutoff: float = 1e-10):
         """Pair of complementary projections (onto Ker T, onto Rng T*)."""

@@ -12,8 +12,8 @@ Loading validates shapes, value types and finiteness and raises
 ValidationError with the offending location; malformed JSON raises
 ParseError.  A module whose rank times the algebra dimension exceeds
 MAX_MODULE_DIM is refused before anything is allocated for it.  Saving
-normalizes floats to 17 significant digits, so save/load round-trips are
-exact.
+writes every float in its shortest round-trip form, so save/load
+round-trips are exact.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .hom import Morphism, _entry_view, identity_morphism
 from .module import MAX_MODULE_DIM, ModuleSpec, _entry_slots
 from .symbol import SymbolSample
 from .torus import TorusGeometry, TorusSection
-from .util import format_floats
 
 COMPLEX_SCHEMA = "cstarhodge-complex/1"
 SAMPLES_SCHEMA = "cstarhodge-samples/1"
@@ -96,12 +95,8 @@ def _complex_from(v, where: str) -> complex:
     return complex(_number(v[0], where), _number(v[1], where))
 
 
-def _complex_to(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
 def _block_to(b: np.ndarray) -> list:
-    return [[_complex_to(z) for z in row] for row in b]
+    return np.stack((b.real, b.imag), axis=-1).tolist()
 
 
 def _block_into(out: np.ndarray, data, where: str):
@@ -411,9 +406,20 @@ def section_from_data(data) -> TorusSection:
 # -- files ----------------------------------------------------------------------------------------
 
 
+def _numpy_scalar(obj):
+    """json.dumps hook: numpy scalars as the Python bool, int or float they hold."""
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dump_json(data) -> str:
-    """Deterministic rendering: sorted keys, floats at 17 significant digits."""
-    return json.dumps(format_floats(data), sort_keys=True, indent=1) + "\n"
+    """Deterministic rendering: sorted keys, floats in shortest round-trip form."""
+    return json.dumps(data, sort_keys=True, indent=1, default=_numpy_scalar) + "\n"
 
 
 def load_json(path: str):

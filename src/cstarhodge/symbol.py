@@ -170,7 +170,7 @@ class ExactnessResult:
     spectral_scale: float
 
 
-def _restricted_min_singular(op: Morphism, cutoff: float) -> tuple:
+def _restricted_min_singular(op: Morphism) -> tuple:
     """(smallest singular value on the module, largest) for a self-map.
 
     With a projective module the shadow is padded by an exact zero block, so
@@ -206,7 +206,7 @@ def exactness_check(sample: SymbolSample, i: int, cutoff: float = 1e-10) -> Exac
     rank_out, margin_out = s_out.rank_with_margin(cutoff)
     mod_dim = sample.fibers[i].concrete_dim
     nullity_out = mod_dim - rank_out
-    smin, smax = _restricted_min_singular(symbol_laplacian(sample, i), cutoff)
+    smin, smax = _restricted_min_singular(symbol_laplacian(sample, i))
     return ExactnessResult(
         degree=i,
         exact=rank_in == nullity_out,
@@ -233,7 +233,7 @@ def weighted_symbol_laplacian_check(
     s_in = sample.chain.differential(i - 1)
     s_out = sample.chain.differential(i)
     op = lam * (s_out.adjoint() @ s_out) + mu * (s_in @ s_in.adjoint())
-    smin, smax = _restricted_min_singular(op, cutoff)
+    smin, smax = _restricted_min_singular(op)
     return {
         "degree": i,
         "lam": lam,

@@ -130,6 +130,9 @@ class TorusGeometry:
         )
         self.mode_index = {tuple(q): i for i, q in enumerate(self.modes)}
         self.num_modes = len(self.modes)
+        self.mode_norms_sq = _freeze(np.sum(self.modes.astype(float) ** 2, axis=1))
+        # 4 pi^2 |q|^2 per mode: the multiplier of the de Rham Laplacian
+        self.laplacian_values = _freeze(4.0 * np.pi**2 * self.mode_norms_sq)
         self._form_fibers: dict = {}
         self._total_modules: dict = {}
 
@@ -165,9 +168,6 @@ class TorusGeometry:
                 self.form_fiber(degree), self.num_modes
             )
         return self._total_modules[degree]
-
-    def mode_norms_sq(self) -> np.ndarray:
-        return np.sum(self.modes.astype(float) ** 2, axis=1)
 
     def zero_section(self, degree: int) -> "TorusSection":
         m = self.form_fiber(degree).rank
@@ -376,11 +376,11 @@ def section_product(s1: TorusSection, s2: TorusSection) -> AlgebraElement:
 
 
 def _sobolev_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
-    return (1.0 + 4.0 * np.pi**2 * geometry.mode_norms_sq()) ** t
+    return (1.0 + geometry.laplacian_values) ** t
 
 
 def _fourier_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
-    return (1.0 + geometry.mode_norms_sq()) ** t
+    return (1.0 + geometry.mode_norms_sq) ** t
 
 
 def sobolev_product(s1: TorusSection, s2: TorusSection, t: float) -> AlgebraElement:
@@ -597,7 +597,7 @@ class FourierMultiplier:
 
     @classmethod
     def laplacian(cls, geometry: TorusGeometry, degree: int) -> "FourierMultiplier":
-        return cls(geometry, degree, 4.0 * np.pi**2 * geometry.mode_norms_sq())
+        return cls(geometry, degree, geometry.laplacian_values)
 
     @classmethod
     def sobolev_weight(cls, geometry: TorusGeometry, degree: int, t: float) -> "FourierMultiplier":
@@ -612,11 +612,6 @@ class FourierMultiplier:
 
     def adjoint(self) -> "FourierMultiplier":
         return FourierMultiplier(self.geometry, self.degree, np.conj(self.values))
-
-    def compose(self, other: "FourierMultiplier") -> "FourierMultiplier":
-        if self.geometry != other.geometry or self.degree != other.degree:
-            raise GeometryMismatch("multipliers do not match")
-        return FourierMultiplier(self.geometry, self.degree, self.values * other.values)
 
 
 # -- de Rham complex -----------------------------------------------------------------------
@@ -680,7 +675,7 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
                 "max_square_residual": 0.0,
             }
         )
-    for q, qsq in zip(geometry.modes, geometry.mode_norms_sq()):
+    for q, lam in zip(geometry.modes, geometry.laplacian_values):
         maps = [
             _scalar_morphism(fibers[k], fibers[k + 1], de_rham_symbol_coeffs(n, k, q, r))
             for k in range(n)
@@ -694,14 +689,14 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
                 )
             rep["max_multiplier_residual"] = max(
                 rep["max_multiplier_residual"],
-                (lap - (4.0 * np.pi**2 * qsq) * idents[k]).norm(),
+                (lap - lam * idents[k]).norm(),
             )
             nullity = fibers[k].concrete_dim - lap.concrete_rank(cutoff)
             if nullity:
                 rep["kernel_modes"].append(tuple(int(x) for x in q))
                 rep["harmonic_dim"] += nullity
-            if qsq == 0.0:
-                rep["free_rank"] = free_rank_of_projection(lap.kernel_projection(cutoff))
+            if lam == 0.0:
+                rep["free_rank"] = free_rank_of_projection(cx.parametrix(k, cutoff).projector)
     for rep in reports:
         expected_free = rep["expected_free_rank"]
         rep["passed"] = (
@@ -715,15 +710,15 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
 # -- elliptic regularity ----------------------------------------------------------------
 
 
-def laplace_solve(f: TorusSection, cutoff: float = 1e-12) -> tuple:
+def laplace_solve(f: TorusSection) -> tuple:
     """Solve Laplacian u = f - P f with P the projection onto the zero mode.
 
     Returns (u, Pf); u has zero mean and coefficients f_q / (4 pi^2 |q|^2).
+    Modes are integer vectors, so the zero mode is exactly |q|^2 = 0.
     """
-    geo = f.geometry
-    mult = 4.0 * np.pi**2 * geo.mode_norms_sq()
+    mult = f.geometry.laplacian_values
     inv = np.zeros_like(mult)
-    nz = mult > cutoff * max(mult.max(), 1.0)
+    nz = mult > 0.0
     inv[nz] = 1.0 / mult[nz]
     u = f.scale_modes(inv)
     mean = f.scale_modes((~nz).astype(float))
@@ -764,9 +759,9 @@ def regularity_report(
     lap = FourierMultiplier.laplacian(geometry, degree)
     residual = fourier_norm(lap.apply(u) - (f - mean), 0.0)
 
-    qsq = geometry.mode_norms_sq()
+    qsq, lam = geometry.mode_norms_sq, geometry.laplacian_values
     nz = qsq > 0
-    gain_constant = float(((1.0 + qsq[nz]) / (4.0 * np.pi**2 * qsq[nz])).max()) if nz.any() else 0.0
+    gain_constant = float(((1.0 + qsq[nz]) / lam[nz]).max()) if nz.any() else 0.0
 
     gains = []
     for t in t_values:
@@ -776,7 +771,7 @@ def regularity_report(
 
     supports = {}
     for t in t_values:
-        action = 4.0 * np.pi**2 * qsq * (1.0 + qsq) ** ((t - 2.0) / 2.0)
+        action = lam * (1.0 + qsq) ** ((t - 2.0) / 2.0)
         action /= (1.0 + qsq) ** (t / 2.0)
         scale = action.max() if action.size else 0.0
         kernel = [

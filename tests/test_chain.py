@@ -8,7 +8,7 @@ from cstarhodge.chain import (
     random_complex,
     verify_chain_map,
 )
-from cstarhodge.errors import NotACocycle, SpecMismatch
+from cstarhodge.errors import IndexOutOfRange, NotACocycle, SpecMismatch
 from cstarhodge.hom import identity_morphism
 from cstarhodge.module import ModuleSpec
 from cstarhodge.util import rng_for
@@ -183,3 +183,30 @@ def test_generated_complex_structure():
             nonzero = svals[svals > 1e-8]
             if nonzero.size:
                 assert nonzero.min() > 0.2
+
+
+def test_singular_values_do_not_depend_on_call_order():
+    # the pseudoinverse takes its own SVDs, so it cannot fill the cache that
+    # rank decisions and their margins read
+    for k in range(40):
+        pinv_first, _ = random_complex(rng_for(6, "svals-order", k))
+        svals_first, _ = random_complex(rng_for(6, "svals-order", k))
+        for i in range(pinv_first.top_degree + 1):
+            expected = svals_first.laplacian(i).singular_values()
+            lap = pinv_first.laplacian(i)
+            lap.pseudoinverse()
+            assert lap.singular_values().tobytes() == expected.tobytes()
+
+
+def test_end_maps_built_once():
+    mod = scalar_module(2)
+    cx = ChainComplex([mod, mod], [identity_morphism(mod)])
+    for i in (-1, cx.top_degree):
+        d = cx.differential(i)
+        assert d is cx.differential(i)
+        assert d.norm() == 0.0
+    assert cx.differential(-1).source.rank == 0 and cx.differential(-1).target == mod
+    assert cx.differential(1).source == mod and cx.differential(1).target.rank == 0
+    for i in (-2, cx.top_degree + 1):
+        with pytest.raises(IndexOutOfRange):
+            cx.differential(i)

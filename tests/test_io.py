@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -130,6 +131,24 @@ def test_cli_hodge_identity_complex(tmp_path):
     assert code == 0
     assert rep["harmonic_dims"] == [0, 0]
     assert rep["passed"] is True
+
+
+def test_cli_hodge_names_each_chain_map_identity_once(tmp_path):
+    cx, _ = random_complex(rng_for(7, "io-chain-map-names", 0))
+    path = tmp_path / "cx.json"
+    serial.save_complex(path, cx)
+    code, out = run_cli(["hodge", str(path), "--format", "json"])
+    assert code == 0
+    names = [c["name"] for s in json.loads(out)["sections"] for c in s["checks"]]
+    assert [n for n in names if "[i" in n] == []
+    for i in range(len(cx.diffs)):
+        for name in (
+            f"p[{i + 1}] D[{i}] = 0",
+            f"D[{i}] g[{i}] = g[{i + 1}] D[{i}]",
+            f"D[{i}] lap[{i}] = lap[{i + 1}] D[{i}]",
+            f"D[{i}] p[{i}] = 0",
+        ):
+            assert names.count(name) == 1, name
 
 
 def test_cli_exit_codes(tmp_path):
@@ -357,3 +376,33 @@ def test_cli_torus_demo_fiber_cap(capsys, monkeypatch):
     argv = ["torus-demo", "--n", "1", "--band", "0", "--suite", "derham", "--fiber", "3000x1"]
     assert run_cli(argv)[0] == 2
     assert "rank 3000 * dim(A) 1 = 3000 exceeds the cap of 2048" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_cli_torus_demo_rejects_sections_below_one(count, capsys):
+    argv = ["torus-demo", "--n", "1", "--band", "1", "--fiber", "1x1",
+            "--suite", "embedding", "--sections", str(count)]
+    assert run_cli(argv)[0] == 2
+    assert f"--sections {count}" in capsys.readouterr().err
+
+
+def test_dump_json_numpy_scalars_match_builtins():
+    as_numpy = {
+        "float": np.float64(0.1),
+        "single": np.float32(0.5),
+        "int": np.int64(-3),
+        "bool": np.bool_(True),
+        "nested": [np.float64(1 / 3), (np.int32(2), np.bool_(False))],
+        "inf": np.float64(np.inf),
+    }
+    as_builtins = {
+        "float": 0.1,
+        "single": 0.5,
+        "int": -3,
+        "bool": True,
+        "nested": [1 / 3, [2, False]],
+        "inf": math.inf,
+    }
+    assert serial.dump_json(as_numpy) == serial.dump_json(as_builtins)
+    with pytest.raises(TypeError):
+        serial.dump_json({"array": np.zeros(2)})
