@@ -31,7 +31,6 @@ from .torus import (
     FourierMultiplier,
     TorusGeometry,
     TorusSection,
-    de_rham_complex,
     derivative_bound_constant,
     embedding_check,
     fourier_norm,

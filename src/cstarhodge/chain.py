@@ -6,13 +6,17 @@ Laplacian is
 
     L_i = D_{i-1} D_{i-1}* + D_i* D_i
 
-with zero maps substituted beyond the ends.  Its Moore-Penrose pseudoinverse
-g and the kernel projection p = 1 - g L form a parametrix: g L + p = 1,
-L g + p = 1, L p = 0, and additionally g p = 0 so p is idempotent.  The
-parametrix intertwines the differentials (p' D = 0, D g = g' D, D L = L' D),
-harmonic vectors represent cohomology classes bijectively, and every vector
-splits as harmonic + exact + coexact.  All of this is checked numerically by
-the test suite against the concrete shadow matrices.
+with no term beyond the ends.  Its Moore-Penrose pseudoinverse g and the
+kernel projection p = 1 - g L form a parametrix: g L + p = 1, L g + p = 1,
+L p = 0, and additionally g p = 0 so p is idempotent.  The parametrix
+intertwines the differentials (p' D = 0, D g = g' D, D L = L' D), harmonic
+vectors represent cohomology classes bijectively, and every vector splits as
+harmonic + exact + coexact.  All of this is checked numerically by the test
+suite against the concrete shadow matrices.
+
+laplacian_mats writes the Laplacian once on per-block arrays
+(..., rows, cols): ChainComplex calls it on its own maps, and the symbol
+scan and the torus modes on stacks of equal-shape summands.
 """
 
 from __future__ import annotations
@@ -34,34 +38,51 @@ from .module import ModuleSpec, ModuleVector
 
 __all__ = [
     "ChainComplex",
+    "laplacian_mats",
     "Parametrix",
     "HodgeSplit",
     "HodgeIsomorphism",
     "HodgeReport",
     "verify_chain_map",
+    "block_free_rank",
     "free_rank_of_projection",
     "random_complex",
     "random_unitary_morphism",
 ]
 
 
-def free_rank_of_projection(p: Morphism, tol: float = 1e-8) -> Optional[int]:
-    """Free rank read off a projection's block-trace profile.
+def laplacian_mats(ins, outs) -> list:
+    """Per block, R_in* R_in + R_out R_out*: a degree's Laplacian from its two maps.
 
-    trace(R_b) / n_b is the free rank of the projected submodule in algebra
-    block b when that submodule is free.  Returns the common integer when
-    every block agrees, else None.
+    ins and outs hold the incoming and outgoing maps' arrays (..., rows, cols),
+    one per algebra block, with a leading axis for a stack of equal-shape
+    summands.  A map through the zero module (an end of a complex) adds no term.
     """
-    ratios = [
-        float(np.trace(r).real) / nb for nb, r in zip(p.algebra.block_sizes, p.mats)
-    ]
+    terms = [[r.conj().swapaxes(-1, -2) @ r for r in ins]] if ins[0].shape[-2] else []
+    if outs[0].shape[-1]:
+        terms.append([r @ r.conj().swapaxes(-1, -2) for r in outs])
+    if not terms:  # a complex of one module
+        return [np.zeros(r.shape[:-2] + 2 * r.shape[-1:], dtype=complex) for r in ins]
+    return [sum(t[1:], t[0]) for t in zip(*terms)]
+
+
+def block_free_rank(dims, sizes, tol: float = 1e-8) -> Optional[int]:
+    """Free rank of a submodule from its dimension dims[b] as R_b coordinates.
+
+    dims[b] / n_b is the free rank of the submodule in algebra block b when
+    that submodule is free.  Returns the common integer when every block
+    agrees, else None.
+    """
+    ratios = [float(d) / nb for d, nb in zip(dims, sizes)]
     candidate = int(round(ratios[0]))
-    if candidate < 0:
+    if candidate < 0 or any(abs(r - candidate) > tol for r in ratios):
         return None
-    for r in ratios:
-        if abs(r - candidate) > tol:
-            return None
     return candidate
+
+
+def free_rank_of_projection(p: Morphism, tol: float = 1e-8) -> Optional[int]:
+    """Free rank of a projection's range, whose dimension in block b is trace(R_b)."""
+    return block_free_rank([np.trace(r).real for r in p.mats], p.algebra.block_sizes, tol)
 
 
 @dataclass(frozen=True)
@@ -175,7 +196,7 @@ class HodgeReport:
 class ChainComplex:
     """Modules G_0..G_L over one algebra with differentials squaring to zero."""
 
-    def __init__(self, modules, differentials, tol: float = 1e-9, validate: bool = True):
+    def __init__(self, modules, differentials, tol: float = 1e-9):
         modules = list(modules)
         differentials = list(differentials)
         if not modules:
@@ -204,8 +225,7 @@ class ChainComplex:
         )
         self._laplacians: dict = {}
         self._parametrices: dict = {}
-        if validate:
-            self.square_residuals(tol, strict=True)
+        self.square_residuals(tol, strict=True)
 
     @property
     def top_degree(self) -> int:
@@ -242,9 +262,9 @@ class ChainComplex:
         if not 0 <= i <= self.top_degree:
             raise IndexOutOfRange(f"degree {i} outside 0..{self.top_degree}")
         if i not in self._laplacians:
-            d_in = self.differential(i - 1)
-            d_out = self.differential(i)
-            self._laplacians[i] = d_in @ d_in.adjoint() + d_out.adjoint() @ d_out
+            mod = self.modules[i]
+            mats = laplacian_mats(self.differential(i - 1).mats, self.differential(i).mats)
+            self._laplacians[i] = Morphism(mod, mod, mats)
         return self._laplacians[i]
 
     def parametrix(self, i: int, cutoff: float = 1e-10) -> Parametrix:

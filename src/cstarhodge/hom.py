@@ -19,8 +19,11 @@ Flattening each module by ModuleVector.vec turns T into its dense shadow
 sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with
 blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
-value over all blocks.  A map's singular values come from one values-only
-SVD per block, cached by singular_values alone; pseudoinverse cuts at the
+value over all blocks.  merged_singular_values and singular_rank work on
+per-block arrays (..., rows, cols): a map's R_b is the case with no leading
+axis, and a stack of equal-shape summands (torus modes, symbol samples)
+adds one, each summand cut at its own largest value.  A map's singular
+values are cached by singular_values alone; pseudoinverse cuts at the
 largest value of its own full SVDs, so neither result depends on which of
 the two ran first.  The shadow (``embed``) and its pullback
 ``morphism_from_concrete`` stay as the oracles the tests check these
@@ -38,6 +41,7 @@ from .module import ModuleSpec, ModuleVector
 __all__ = [
     "Morphism",
     "identity_morphism",
+    "merged_singular_values",
     "morphism_from_concrete",
     "random_morphism",
     "singular_rank",
@@ -49,26 +53,40 @@ def _entry_view(mat: np.ndarray, m: int, n: int, nb: int) -> np.ndarray:
     return mat.reshape(m, nb, n, nb)
 
 
-def singular_rank(svals: np.ndarray, cutoff: float):
-    """Rank decision on a singular spectrum with a relative cutoff.
+def merged_singular_values(mats, sizes) -> np.ndarray:
+    """Shadow singular values of per-block arrays (..., rows, cols), descending along the last axis.
+
+    One values-only SVD per block, each value repeated n_b times as the
+    shadow repeats the block; a leading axis stacks equal-shape summands.
+    """
+    merged = np.concatenate(
+        [np.repeat(np.linalg.svd(r, compute_uv=False), nb, axis=-1) for nb, r in zip(sizes, mats)],
+        axis=-1,
+    )
+    return -np.sort(-merged, axis=-1)
+
+
+def singular_rank(svals, cutoff: float):
+    """Rank decision on descending singular spectra with a relative cutoff.
 
     Returns (rank, margin) where margin says how decisively the values split:
     the factor by which the smallest kept value clears cutoff*smax and the
     largest dropped value stays below it.  margin = inf for an empty or
     unambiguous split (all kept or all dropped with room to spare is still
-    reported by its ratio; only an empty spectrum gives inf).
+    reported by its ratio; only an empty spectrum gives inf).  Spectra
+    stacked along leading axes give arrays, each cut at its own largest
+    value; one spectrum gives an int and a float.
     """
-    svals = np.asarray(svals, dtype=float)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return 0, float("inf")
-    thresh = cutoff * svals[0]
-    rank = int(np.count_nonzero(svals > thresh))
-    margins = []
-    if rank > 0:
-        margins.append(svals[rank - 1] / thresh)
-    if rank < svals.size and svals[rank] > 0.0:
-        margins.append(thresh / svals[rank])
-    return rank, (min(margins) if margins else float("inf"))
+    s = np.asarray(svals, dtype=float)
+    thresh = cutoff * s[..., :1]
+    # s / thresh of a kept value and thresh / s of a dropped one are the
+    # larger of the two; the least of them is the margin.  fmin skips the
+    # NaN (0/0) of a zero spectrum.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.fmax(s / thresh, thresh / s)
+    rank = np.add.reduce(s > thresh, axis=-1)
+    margin = np.fmin.reduce(ratios, axis=-1, initial=np.inf)
+    return (int(rank), float(margin)) if s.ndim == 1 else (rank, margin)
 
 
 class Morphism:
@@ -214,16 +232,10 @@ class Morphism:
     def singular_values(self) -> np.ndarray:
         """Singular values of the shadow, descending: each block's values n_b times.
 
-        The only writer of the cache: one values-only SVD per block.
+        The only writer of the cache: merged_singular_values on the R_b.
         """
         if self._svals is None:
-            merged = np.concatenate(
-                [
-                    np.repeat(np.linalg.svd(r, compute_uv=False), nb)
-                    for nb, r in zip(self.algebra.block_sizes, self.mats)
-                ]
-            )
-            self._svals = _freeze(-np.sort(-merged))
+            self._svals = _freeze(merged_singular_values(self.mats, self.algebra.block_sizes))
         return self._svals
 
     def norm(self) -> float:

@@ -11,7 +11,10 @@ and measures how invertible it is.  Exactness of the sequence at a sample is
 equivalent to invertibility of every S_i there, and the weighted variants
 lam * s_i* s_i + mu * s_{i-1} s_{i-1}* stay invertible for any nonzero
 weights; the scan verifies both directions with explicit margins.  A
-certificate only speaks for the sampled covectors.
+certificate only speaks for the sampled covectors.  Samples with equal
+fibers are a direct sum of equal-shape complexes: the scan stacks their maps
+per algebra block, so every SVD runs once per degree and block on the whole
+stack, and exactness_check is the case of one sample.
 
 The module also builds the exterior-algebra symbols of the de Rham complex:
 at covector xi the degree-k map is wedging with 2*pi*i*xi, and the symbol
@@ -27,9 +30,15 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .chain import ChainComplex, _pick_algebra, _shift_morphism, random_unitary_morphism
+from .chain import (
+    ChainComplex,
+    _pick_algebra,
+    _shift_morphism,
+    laplacian_mats,
+    random_unitary_morphism,
+)
 from .errors import EmptySampleSet, IndexOutOfRange, ZeroCoefficient
-from .hom import Morphism, singular_rank
+from .hom import Morphism, merged_singular_values, singular_rank
 from .module import ModuleSpec
 
 __all__ = [
@@ -63,26 +72,31 @@ def wedge_matrix(n: int, k: int, xi) -> np.ndarray:
     """Matrix of (xi wedge .) from k-forms to (k+1)-forms.
 
     e_j wedge e_S = (-1)^{#(elements of S below j)} e_{S union j} for j not in S.
+    Covectors stacked as (..., n) give the stack of their matrices.
     """
     xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (n,):
+    if xi.shape[-1:] != (n,):
         raise ValueError(f"covector of shape {xi.shape}, expected ({n},)")
     src = exterior_basis(n, k)
     tgt = {s: a for a, s in enumerate(exterior_basis(n, k + 1))}
-    out = np.zeros((len(tgt), len(src)), dtype=complex)
-    for b, subset in enumerate(src):
-        for j in range(n):
-            if j in subset:
-                continue
-            sign = (-1) ** sum(1 for x in subset if x < j)
-            out[tgt[tuple(sorted(subset + (j,)))], b] += sign * xi[j]
+    # (target slot, source slot, j, sign) of each term; no two share a slot pair
+    terms = [
+        (tgt[tuple(sorted(subset + (j,)))], b, j, (-1) ** sum(1 for x in subset if x < j))
+        for b, subset in enumerate(src)
+        for j in range(n)
+        if j not in subset
+    ]
+    out = np.zeros(xi.shape[:-1] + (len(tgt), len(src)), dtype=complex)
+    if terms:
+        rows, cols, js, signs = (list(t) for t in zip(*terms))
+        out[..., rows, cols] += np.array(signs) * xi[..., js]
     return out
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """kron(x, y), written as an einsum so that every zero entry is +0.0."""
-    (a, b), (c, d) = x.shape, y.shape
-    return np.einsum("ij,ab->iajb", x, y).reshape(a * c, b * d)
+    """kron(x, y) over the last two axes of x, as an einsum so that every zero entry is +0.0."""
+    (a, b), (c, d) = x.shape[-2:], y.shape
+    return np.einsum("...ij,ab->...iajb", x, y).reshape(*x.shape[:-2], a * c, b * d)
 
 
 def tiled_module(module: ModuleSpec, copies: int) -> ModuleSpec:
@@ -101,12 +115,9 @@ def form_fiber(fiber: ModuleSpec, n: int, k: int) -> ModuleSpec:
     return tiled_module(fiber, len(exterior_basis(n, k)))
 
 
-def _scalar_morphism(source: ModuleSpec, target: ModuleSpec, coeffs: np.ndarray) -> Morphism:
-    """Morphism whose entries are scalar multiples of the algebra unit: R_b = kron(c, I_nb)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return Morphism(
-        source, target, [_kron(coeffs, np.eye(nb)) for nb in source.algebra.block_sizes]
-    )
+def _scalar_mats(coeffs: np.ndarray, sizes) -> list:
+    """Per block R_b = kron(c, I_nb), for scalar matrices c stacked along leading axes or not."""
+    return [_kron(coeffs, np.eye(nb)) for nb in sizes]
 
 
 def de_rham_symbol_coeffs(n: int, k: int, xi, rank: int) -> np.ndarray:
@@ -114,18 +125,21 @@ def de_rham_symbol_coeffs(n: int, k: int, xi, rank: int) -> np.ndarray:
 
     It is 2*pi*i kron(wedge_matrix(n, k, xi)^T, I_rank), with rows indexing
     the k-form slots (the source) as every module map matrix does.
+    Covectors stacked as (..., n) give the stack (..., rows, cols); at k = n
+    there are no (n+1)-forms and the matrix has no columns.
     """
     w = wedge_matrix(n, k, np.asarray(xi, dtype=float))
-    return 2j * np.pi * _kron(w.T, np.eye(rank))
+    return 2j * np.pi * _kron(w.swapaxes(-1, -2), np.eye(rank))
 
 
 def de_rham_symbol_sample(n: int, fiber: ModuleSpec, xi, tag: Optional[str] = None) -> "SymbolSample":
     """Symbol complex of the de Rham operator at covector xi: wedge by 2*pi*i*xi."""
     xi = np.asarray(xi, dtype=float)
     fibers = [form_fiber(fiber, n, k) for k in range(n + 1)]
+    coeffs = [de_rham_symbol_coeffs(n, k, xi, fiber.rank) for k in range(n)]
     maps = [
-        _scalar_morphism(fibers[k], fibers[k + 1], de_rham_symbol_coeffs(n, k, xi, fiber.rank))
-        for k in range(n)
+        Morphism(fibers[k], fibers[k + 1], _scalar_mats(c, fiber.algebra.block_sizes))
+        for k, c in enumerate(coeffs)
     ]
     if tag is None:
         tag = "xi=" + ",".join(format(x, ".6g") for x in xi)
@@ -170,22 +184,50 @@ class ExactnessResult:
     spectral_scale: float
 
 
-def _restricted_min_singular(op: Morphism) -> tuple:
-    """(smallest singular value on the module, largest) for a self-map.
+def _restricted_min_singular(svals: np.ndarray, dim: int) -> tuple:
+    """(smallest singular value on the module, largest) of self-maps, from their merged values.
 
     With a projective module the shadow is padded by an exact zero block, so
-    the relevant smallest value is the concrete_dim-th largest one.
+    the relevant smallest value is the dim-th largest one.
     """
-    dim = op.source.concrete_dim
-    s = op.singular_values()
-    smax = float(s[0]) if s.size else 0.0
-    if dim == 0:
-        return float("inf"), smax
-    return float(s[dim - 1]), smax
+    lead = svals.shape[:-1]
+    smax = svals[..., 0] if svals.shape[-1] else np.zeros(lead)
+    return (svals[..., dim - 1] if dim else np.full(lead, np.inf)), smax
 
 
 def symbol_laplacian(sample: SymbolSample, i: int) -> Morphism:
     return sample.chain.laplacian(i)
+
+
+def _exactness_rows(samples, degrees, cutoff: float) -> list:
+    """Per sample, its ExactnessResults at the given degrees; the samples share their fibers.
+
+    Each map and each Laplacian is stacked per block over the samples, so
+    every SVD runs once per block on the whole stack; each rank cut stays
+    relative to one sample's own largest singular value.
+    """
+    fibers = samples[0].fibers
+    sizes = fibers[0].algebra.block_sizes
+    maps, cuts = {}, {}
+    for j in {j for i in degrees for j in (i - 1, i)}:
+        maps[j] = [np.stack(b) for b in zip(*(s.chain.differential(j).mats for s in samples))]
+        cuts[j] = singular_rank(merged_singular_values(maps[j], sizes), cutoff)
+    columns = []
+    for i in degrees:
+        (rank_in, margin_in), (rank_out, margin_out) = cuts[i - 1], cuts[i]
+        dim = fibers[i].concrete_dim
+        lap = merged_singular_values(laplacian_mats(maps[i - 1], maps[i]), sizes)
+        values = zip(
+            rank_in, dim - rank_out, np.minimum(margin_in, margin_out),
+            *_restricted_min_singular(lap, dim),
+        )
+        columns.append(
+            [
+                ExactnessResult(i, bool(r == k), int(r), int(k), float(m), float(lo), float(hi))
+                for r, k, m, lo, hi in values
+            ]
+        )
+    return [list(row) for row in zip(*columns)]
 
 
 def exactness_check(sample: SymbolSample, i: int, cutoff: float = 1e-10) -> ExactnessResult:
@@ -196,26 +238,12 @@ def exactness_check(sample: SymbolSample, i: int, cutoff: float = 1e-10) -> Exac
     factor by which the singular spectra clear the rank cutoff (small values
     mean the decision is fragile); spectral_margin is the smallest singular
     value of the symbol Laplacian on the module, which is positive exactly
-    when the sample is exact at this degree.
+    when the sample is exact at this degree.  This is elliptic_scan's stacked
+    computation on a stack of one sample.
     """
     if not 0 <= i <= sample.top_degree:
         raise IndexOutOfRange(f"degree {i} outside 0..{sample.top_degree}")
-    s_in = sample.chain.differential(i - 1)
-    s_out = sample.chain.differential(i)
-    rank_in, margin_in = s_in.rank_with_margin(cutoff)
-    rank_out, margin_out = s_out.rank_with_margin(cutoff)
-    mod_dim = sample.fibers[i].concrete_dim
-    nullity_out = mod_dim - rank_out
-    smin, smax = _restricted_min_singular(symbol_laplacian(sample, i))
-    return ExactnessResult(
-        degree=i,
-        exact=rank_in == nullity_out,
-        incoming_rank=rank_in,
-        outgoing_nullity=nullity_out,
-        decision_margin=min(margin_in, margin_out),
-        spectral_margin=smin,
-        spectral_scale=smax,
-    )
+    return _exactness_rows([sample], [i], cutoff)[0][0]
 
 
 def weighted_symbol_laplacian_check(
@@ -233,7 +261,7 @@ def weighted_symbol_laplacian_check(
     s_in = sample.chain.differential(i - 1)
     s_out = sample.chain.differential(i)
     op = lam * (s_out.adjoint() @ s_out) + mu * (s_in @ s_in.adjoint())
-    smin, smax = _restricted_min_singular(op)
+    smin, smax = map(float, _restricted_min_singular(op.singular_values(), op.source.concrete_dim))
     return {
         "degree": i,
         "lam": lam,
@@ -270,9 +298,14 @@ def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
     samples = list(samples)
     if not samples:
         raise EmptySampleSet("no symbol samples to scan")
-    all_degrees = [
-        [exactness_check(s, i, cutoff) for i in range(s.top_degree + 1)] for s in samples
-    ]
+    groups: dict = {}
+    for index, sample in enumerate(samples):
+        groups.setdefault(tuple(sample.fibers), []).append(index)
+    all_degrees = [None] * len(samples)
+    for indices in groups.values():
+        group = [samples[j] for j in indices]
+        for j, row in zip(indices, _exactness_rows(group, range(group[0].top_degree + 1), cutoff)):
+            all_degrees[j] = row
 
     min_spectral = float("inf")
     min_decision = float("inf")

@@ -19,8 +19,8 @@ A section keeps, per algebra block, one (modes, n_b, m*n_b) stack of the
 coefficients' row matrices (the layout of ModuleVector.rows), so a module
 map R_b acts on every mode at once as one batched product, and the fiber
 norms at a grid of points come from one product with the phase matrix.  The
-de Rham complex of each mode is built once as a ChainComplex on the
-geometry's cached form fibers.
+de Rham complexes of all modes have equal shapes, so harmonic_rank_report
+keeps each degree's symbol maps as one (modes, rows, cols) stack per block.
 """
 
 from __future__ import annotations
@@ -34,17 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, _freeze
-from .chain import ChainComplex, free_rank_of_projection
+from .chain import block_free_rank, laplacian_mats
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
-from .hom import Morphism, identity_morphism
+from .hom import identity_morphism, merged_singular_values, singular_rank
 from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
-from .symbol import (
-    _scalar_morphism,
-    de_rham_symbol_coeffs,
-    exterior_basis,
-    form_fiber,
-    tiled_module,
-)
+from .symbol import _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
 
 __all__ = [
     "TorusGeometry",
@@ -57,8 +51,6 @@ __all__ = [
     "norm_equivalence_constants",
     "derivative_bound_constant",
     "embedding_check",
-    "de_rham_differential",
-    "de_rham_complex",
     "harmonic_rank_report",
     "laplace_solve",
     "regularity_report",
@@ -134,7 +126,6 @@ class TorusGeometry:
         # 4 pi^2 |q|^2 per mode: the multiplier of the de Rham Laplacian
         self.laplacian_values = _freeze(4.0 * np.pi**2 * self.mode_norms_sq)
         self._form_fibers: dict = {}
-        self._total_modules: dict = {}
 
     def __eq__(self, other):
         return (
@@ -160,14 +151,6 @@ class TorusGeometry:
         if degree not in self._form_fibers:
             self._form_fibers[degree] = form_fiber(self.fiber, self.dimension, degree)
         return self._form_fibers[degree]
-
-    def total_module(self, degree: int) -> ModuleSpec:
-        """All modes stacked: the degree-k module of the assembled complex."""
-        if degree not in self._total_modules:
-            self._total_modules[degree] = tiled_module(
-                self.form_fiber(degree), self.num_modes
-            )
-        return self._total_modules[degree]
 
     def zero_section(self, degree: int) -> "TorusSection":
         m = self.form_fiber(degree).rank
@@ -617,93 +600,63 @@ class FourierMultiplier:
 # -- de Rham complex -----------------------------------------------------------------------
 
 
-def de_rham_differential(geometry: TorusGeometry, degree: int) -> Morphism:
-    """Assembled degree-k differential: per mode, wedge with 2 pi i q."""
-    n = geometry.dimension
-    r = geometry.fiber.rank
-    src = geometry.total_module(degree)
-    tgt = geometry.total_module(degree + 1)
-    m_src = geometry.form_fiber(degree).rank
-    m_tgt = geometry.form_fiber(degree + 1).rank
-    coeffs = np.zeros((src.rank, tgt.rank), dtype=complex)
-    for idx, q in enumerate(geometry.modes):
-        coeffs[
-            idx * m_src : (idx + 1) * m_src, idx * m_tgt : (idx + 1) * m_tgt
-        ] = de_rham_symbol_coeffs(n, degree, q, r)
-    return _scalar_morphism(src, tgt, coeffs)
-
-
-def de_rham_complex(geometry: TorusGeometry) -> ChainComplex:
-    modules = [geometry.total_module(k) for k in range(geometry.dimension + 1)]
-    diffs = [de_rham_differential(geometry, k) for k in range(geometry.dimension)]
-    return ChainComplex(modules, diffs)
-
-
-def section_as_total_vector(s: TorusSection) -> ModuleVector:
-    """Flatten a section into the assembled module of its degree."""
-    return ModuleVector(s.geometry.total_module(s.degree), [_side_by_side(b) for b in s.rows])
-
-
 def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list:
     """Mode-diagonal harmonic analysis of the de Rham complex.
 
-    Each mode q has its own de Rham complex: the form fibers with the symbol
-    maps (wedging with 2 pi i q) between them, built once per mode as a
-    ChainComplex.  For each degree its Laplacian is checked against the
-    scalar multiplier 4 pi^2 |q|^2 and its kernel dimensions are
+    Mode q has its own de Rham complex: the form fibers with the symbol maps
+    (wedging with 2 pi i q) between them.  These complexes have equal shapes,
+    so each degree's maps are one (modes, rows, cols) stack per block, and
+    each Laplacian, composition and SVD runs once per degree and block.  Each
+    mode's Laplacian is checked against the scalar multiplier 4 pi^2 |q|^2,
+    and its nullity, cut at that mode's own largest singular value, is
     accumulated; only the zero mode may contribute.  D D = 0 is reported as
     the largest raw norm of consecutive symbol maps.  Reports the concrete
-    harmonic dimension, the free rank read from the zero-mode projection,
-    and the expected binomial(n, k) * fiber values.
+    harmonic dimension, the free rank read from the per-block nullities of
+    the kernel modes, and the expected binomial(n, k) * fiber values.
     """
-    n = geometry.dimension
-    r = geometry.fiber.rank
+    n, r, sizes = geometry.dimension, geometry.fiber.rank, geometry.algebra.block_sizes
+    modes, lam = geometry.modes, geometry.laplacian_values
     fibers = [geometry.form_fiber(k) for k in range(n + 1)]
-    idents = [identity_morphism(f) for f in fibers]
+    # D_{-1}, D_0, ..., D_n: both ends pass through the zero module
+    coeffs = [np.zeros((len(modes), 0, fibers[0].rank))]
+    coeffs += [de_rham_symbol_coeffs(n, k, modes, r) for k in range(n + 1)]
+    maps = [_scalar_mats(c, sizes) for c in coeffs]
+    zero_mode = [tuple([0] * n)]
     reports = []
-    for k in range(n + 1):
-        slots = len(exterior_basis(n, k))
-        reports.append(
-            {
-                "degree": k,
-                "harmonic_dim": 0,
-                "expected_dim": slots * geometry.fiber.concrete_dim,
-                "free_rank": None,
-                "expected_free_rank": slots * r if geometry.fiber.projection is None else None,
-                "kernel_modes": [],
-                "max_multiplier_residual": 0.0,
-                "max_square_residual": 0.0,
-            }
-        )
-    for q, lam in zip(geometry.modes, geometry.laplacian_values):
-        maps = [
-            _scalar_morphism(fibers[k], fibers[k + 1], de_rham_symbol_coeffs(n, k, q, r))
-            for k in range(n)
+    for k, fib in enumerate(fibers):
+        lap = laplacian_mats(maps[k], maps[k + 1])
+        svals = merged_singular_values(lap, sizes)
+        nullity = fib.concrete_dim - singular_rank(svals, cutoff)[0]
+        kernel = np.flatnonzero(nullity)
+        residual = [x - lam[:, None, None] * e for x, e in zip(lap, identity_morphism(fib).mats)]
+        square = 0.0
+        if k + 1 < n:
+            twice = [a @ b for a, b in zip(maps[k + 1], maps[k + 2])]
+            square = float(merged_singular_values(twice, sizes)[:, 0].max())
+        # the kernel modes' nullity as R_b matrices, block by block, cut as svals is
+        cut = cutoff * svals[kernel, :1]
+        nullities = [
+            rank_b * len(kernel)
+            - np.count_nonzero(np.linalg.svd(x[kernel], compute_uv=False) > cut)
+            for rank_b, x in zip(fib.block_ranks, lap)
         ]
-        cx = ChainComplex(fibers, maps, validate=False)
-        for k, rep in enumerate(reports):
-            lap = cx.laplacian(k)
-            if k + 1 < n:
-                rep["max_square_residual"] = max(
-                    rep["max_square_residual"], (maps[k + 1] @ maps[k]).norm()
-                )
-            rep["max_multiplier_residual"] = max(
-                rep["max_multiplier_residual"],
-                (lap - lam * idents[k]).norm(),
-            )
-            nullity = fibers[k].concrete_dim - lap.concrete_rank(cutoff)
-            if nullity:
-                rep["kernel_modes"].append(tuple(int(x) for x in q))
-                rep["harmonic_dim"] += nullity
-            if lam == 0.0:
-                rep["free_rank"] = free_rank_of_projection(cx.parametrix(k, cutoff).projector)
-    for rep in reports:
-        expected_free = rep["expected_free_rank"]
+        slots = len(exterior_basis(n, k))
+        rep = {
+            "degree": k,
+            "harmonic_dim": int(nullity.sum()),
+            "expected_dim": slots * geometry.fiber.concrete_dim,
+            "free_rank": block_free_rank(nullities, sizes),
+            "expected_free_rank": slots * r if geometry.fiber.projection is None else None,
+            "kernel_modes": [tuple(int(x) for x in modes[j]) for j in kernel],
+            "max_multiplier_residual": float(merged_singular_values(residual, sizes)[:, 0].max()),
+            "max_square_residual": square,
+        }
         rep["passed"] = (
             rep["harmonic_dim"] == rep["expected_dim"]
-            and rep["kernel_modes"] == [tuple([0] * n)]
-            and (expected_free is None or rep["free_rank"] == expected_free)
+            and rep["kernel_modes"] == zero_mode
+            and (rep["expected_free_rank"] is None or rep["free_rank"] == rep["expected_free_rank"])
         )
+        reports.append(rep)
     return reports
 
 

@@ -5,11 +5,13 @@ from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import (
     ChainComplex,
     free_rank_of_projection,
+    laplacian_mats,
     random_complex,
+    random_unitary_morphism,
     verify_chain_map,
 )
 from cstarhodge.errors import IndexOutOfRange, NotACocycle, SpecMismatch
-from cstarhodge.hom import identity_morphism
+from cstarhodge.hom import Morphism, identity_morphism
 from cstarhodge.module import ModuleSpec
 from cstarhodge.util import rng_for
 
@@ -210,3 +212,67 @@ def test_end_maps_built_once():
     for i in (-2, cx.top_degree + 1):
         with pytest.raises(IndexOutOfRange):
             cx.differential(i)
+
+
+def _composed_laplacian(cx, i):
+    """D_{i-1} D_{i-1}* + D_i* D_i composed as module maps, end zero maps included."""
+    d_in, d_out = cx.differential(i - 1), cx.differential(i)
+    return d_in @ d_in.adjoint() + d_out.adjoint() @ d_out
+
+
+def test_end_laplacians_compose_nothing(monkeypatch):
+    # the end maps pass through the rank-0 module and add no term: no module
+    # map is composed, and the matrices equal the composed formula bit for bit
+    calls = []
+    compose = Morphism.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    for k in range(10):
+        cx, _ = random_complex(rng_for(9, "chain-ends", k))
+        for i in (0, cx.top_degree):
+            monkeypatch.setattr(Morphism, "__matmul__", counting)
+            lap = cx.laplacian(i)
+            monkeypatch.setattr(Morphism, "__matmul__", compose)
+            assert not calls
+            expected = _composed_laplacian(cx, i)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(lap.mats, expected.mats))
+
+
+def test_middle_laplacians_match_composed_formula():
+    for k in range(10):
+        cx, _ = random_complex(rng_for(9, "chain-middle", k))
+        for i in range(cx.top_degree + 1):
+            expected = _composed_laplacian(cx, i)
+            assert all(
+                a.tobytes() == b.tobytes() for a, b in zip(cx.laplacian(i).mats, expected.mats)
+            )
+
+
+def test_one_module_laplacian_is_zero():
+    mod = ModuleSpec(AlgebraSpec((2, 1)), 2)
+    lap = ChainComplex([mod], []).laplacian(0)
+    assert [m.shape for m in lap.mats] == [(4, 4), (2, 2)]
+    assert lap.norm() == 0.0
+
+
+def test_stacked_laplacians_equal_each_summand():
+    # complexes with equal shapes: one stacked call gives each one's Laplacian
+    algebra = AlgebraSpec((1, 2))
+    shape = random_complex(rng_for(9, "chain-stack", 0), algebra=algebra)[0]
+    cxs = []
+    for k in range(5):
+        rng = rng_for(9, "chain-frames", k)
+        frames = [random_unitary_morphism(m, rng) for m in shape.modules]
+        diffs = [frames[j + 1] @ d @ frames[j].adjoint() for j, d in enumerate(shape.diffs)]
+        cxs.append(ChainComplex(shape.modules, diffs))
+    for i in range(shape.top_degree + 1):
+        stacks = [
+            [np.stack(b) for b in zip(*(cx.differential(j).mats for cx in cxs))]
+            for j in (i - 1, i)
+        ]
+        for b, stack in enumerate(laplacian_mats(*stacks)):
+            for cx, mat in zip(cxs, stack):
+                assert mat.tobytes() == cx.laplacian(i).mats[b].tobytes()

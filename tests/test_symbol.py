@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.errors import EmptySampleSet, ZeroCoefficient
 from cstarhodge.module import ModuleSpec
+from cstarhodge import symbol
 from cstarhodge.symbol import (
+    ExactnessResult,
     de_rham_symbol_sample,
     elliptic_scan,
     exactness_check,
@@ -126,3 +129,109 @@ def test_certificate_scope_note():
     fiber = ModuleSpec(AlgebraSpec((1,)), 1)
     cert = elliptic_scan([de_rham_symbol_sample(1, fiber, np.ones(1), tag="e")])
     assert any("sampled" in n for n in cert.notes)
+
+
+def _same_bits(a, b):
+    """Two ExactnessResults equal, their floats bit for bit."""
+    return a == b and all(
+        np.float64(x).tobytes() == np.float64(y).tobytes()
+        for x, y in zip(vars(a).values(), vars(b).values())
+        if isinstance(x, float)
+    )
+
+
+def _exactness_by_maps(sample, i, cutoff=1e-10):
+    """The per-sample reference: rank cuts of the sample's own maps and Laplacian."""
+    rank_in, margin_in = sample.chain.differential(i - 1).rank_with_margin(cutoff)
+    rank_out, margin_out = sample.chain.differential(i).rank_with_margin(cutoff)
+    s = sample.chain.laplacian(i).singular_values()
+    dim = sample.fibers[i].concrete_dim
+    return ExactnessResult(
+        i,
+        rank_in == dim - rank_out,
+        rank_in,
+        dim - rank_out,
+        min(margin_in, margin_out),
+        float(s[dim - 1]) if dim else float("inf"),
+        float(s[0]) if s.size else 0.0,
+    )
+
+
+def _mixed_samples(seed, count):
+    """Exact, degenerate and de Rham samples of several fiber shapes."""
+    out = []
+    for j in range(count):
+        rng = rng_for(seed, "symbol-mixed", j)
+        kind = j % 4
+        if kind == 0:
+            out.append(random_exact_sample(rng, algebra=AlgebraSpec((1, 2)), max_rank=2)[0])
+        elif kind == 1:
+            out.append(random_degenerate_sample(rng, algebra=AlgebraSpec((1, 2)), max_rank=2)[0])
+        else:
+            n = 2 + kind % 2
+            xi = rng.standard_normal(n) * (rng.random() < 0.8)
+            out.append(de_rham_symbol_sample(n, ModuleSpec(AlgebraSpec((2,)), 1), xi, tag=f"d{j}"))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 12),
+    order=st.randoms(use_true_random=False),
+)
+def test_scan_records_equal_single_sample_checks(seed, count, order):
+    # the stacked scan groups samples by fibers; records keep the input order
+    # and each equals exactness_check on that sample alone and the reference
+    # built from the sample's own maps
+    samples = _mixed_samples(seed, count)
+    order.shuffle(samples)
+    cert = elliptic_scan(samples)
+    assert [rec["tag"] for rec in cert.records] == [s.tag for s in samples]
+    for sample, rec in zip(samples, cert.records):
+        degrees = range(sample.top_degree + 1)
+        alone = [exactness_check(sample, i) for i in degrees]
+        by_maps = [_exactness_by_maps(sample, i) for i in degrees]
+        assert len(rec["degrees"]) == len(alone)
+        assert all(_same_bits(a, b) for a, b in zip(rec["degrees"], alone))
+        assert all(_same_bits(a, b) for a, b in zip(rec["degrees"], by_maps))
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_scan_svd_count_does_not_grow_with_samples(monkeypatch):
+    fiber = ModuleSpec(AlgebraSpec((1, 2)), 1)
+    rng = rng_for(5, "symbol-svd-count", 0)
+    samples = [de_rham_symbol_sample(3, fiber, rng.standard_normal(3)) for _ in range(64)]
+    counts = []
+    for size in (4, 64):
+        calls = _count_svds(monkeypatch)
+        elliptic_scan(samples[:size])
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] > 0
+
+
+def test_exactness_check_is_the_one_sample_scan(monkeypatch):
+    sample, _ = random_exact_sample(rng_for(5, "symbol-one", 0))
+    seen = []
+    rows = symbol._exactness_rows
+
+    def spy(samples, degrees, cutoff):
+        seen.append((len(samples), list(degrees)))
+        return rows(samples, degrees, cutoff)
+
+    monkeypatch.setattr(symbol, "_exactness_rows", spy)
+    exactness_check(sample, 1)
+    elliptic_scan([sample, sample])
+    assert seen == [(1, [1]), (2, [0, 1, 2])]

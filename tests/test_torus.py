@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge import torus
@@ -12,8 +13,6 @@ from cstarhodge.torus import (
     FourierMultiplier,
     TorusGeometry,
     TorusSection,
-    de_rham_complex,
-    de_rham_differential,
     derivative_bound_constant,
     embedding_check,
     fourier_norm,
@@ -23,11 +22,14 @@ from cstarhodge.torus import (
     product_norm,
     random_section,
     regularity_report,
-    section_as_total_vector,
     section_product,
     sobolev_product,
 )
+from cstarhodge.chain import ChainComplex, free_rank_of_projection
+from cstarhodge.hom import Morphism, identity_morphism
+from cstarhodge.symbol import _scalar_mats, de_rham_symbol_coeffs
 from cstarhodge.util import rng_for
+from derham_oracle import de_rham_complex, de_rham_differential, section_as_total_vector
 
 SCALAR = ModuleSpec(AlgebraSpec((1,)), 1)
 
@@ -438,3 +440,90 @@ def test_section_stack_shape_checked():
     ):
         with pytest.raises(SpecMismatch):
             TorusSection(geo, 1, bad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    band=st.integers(0, 1),
+    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
+    rank=st.integers(1, 2),
+)
+def test_harmonic_dims_match_assembled_oracle(n, band, blocks, rank):
+    geo = TorusGeometry(n, band, ModuleSpec(AlgebraSpec(blocks), rank))
+    cx = de_rham_complex(geo)
+    reports = harmonic_rank_report(geo)
+    assert [rep["harmonic_dim"] for rep in reports] == [
+        cx.cohomology_report(k).harmonic_dim for k in range(n + 1)
+    ]
+
+
+def test_harmonic_report_svd_count_does_not_grow_with_band(monkeypatch):
+    svd = np.linalg.svd
+    counts = []
+    for band in (1, 3):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        harmonic_rank_report(TorusGeometry(2, band, ModuleSpec(AlgebraSpec((1, 2)), 1)))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def _report_mode_by_mode(geo, cutoff=1e-10):
+    """harmonic_rank_report's measured fields from one ChainComplex per mode."""
+    n, sizes = geo.dimension, geo.algebra.block_sizes
+    fibers = [geo.form_fiber(k) for k in range(n + 1)]
+    reports = [
+        {
+            "harmonic_dim": 0,
+            "kernel_modes": [],
+            "max_multiplier_residual": 0.0,
+            "max_square_residual": 0.0,
+            "free_rank": None,
+        }
+        for _ in fibers
+    ]
+    for q, lam in zip(geo.modes, geo.laplacian_values):
+        coeffs = [de_rham_symbol_coeffs(n, k, q, geo.fiber.rank) for k in range(n)]
+        maps = [
+            Morphism(fibers[k], fibers[k + 1], _scalar_mats(c, sizes)) for k, c in enumerate(coeffs)
+        ]
+        cx = ChainComplex(fibers, maps)
+        for k, rep in enumerate(reports):
+            lap = cx.laplacian(k)
+            residual = (lap - lam * identity_morphism(fibers[k])).norm()
+            rep["max_multiplier_residual"] = max(rep["max_multiplier_residual"], residual)
+            if k + 1 < n:
+                square = (maps[k + 1] @ maps[k]).norm()
+                rep["max_square_residual"] = max(rep["max_square_residual"], square)
+            nullity = fibers[k].concrete_dim - lap.concrete_rank(cutoff)
+            if nullity:
+                rep["kernel_modes"].append(tuple(int(x) for x in q))
+                rep["harmonic_dim"] += nullity
+            if lam == 0.0:
+                rep["free_rank"] = free_rank_of_projection(cx.parametrix(k, cutoff).projector)
+    return reports
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    band=st.integers(0, 2),
+    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
+    rank=st.integers(1, 2),
+)
+def test_harmonic_report_equals_mode_by_mode(n, band, blocks, rank):
+    # the stacked report reads the same numbers, bit for bit, as a loop over
+    # the modes with one complex each
+    geo = TorusGeometry(n, band, ModuleSpec(AlgebraSpec(blocks), rank))
+    for got, want in zip(harmonic_rank_report(geo), _report_mode_by_mode(geo)):
+        for key, value in want.items():
+            assert got[key] == value
+            if isinstance(value, float):
+                assert np.float64(got[key]).tobytes() == np.float64(value).tobytes()
