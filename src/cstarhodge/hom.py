@@ -19,11 +19,8 @@ Flattening each module by ModuleVector.vec turns T into its dense shadow
 sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with
 blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
-value over all blocks.  merged_singular_values and singular_rank work on
-per-block arrays (..., rows, cols): a map's R_b is the case with no leading
-axis, and a stack of equal-shape summands (torus modes, symbol samples)
-adds one, each summand cut at its own largest value.  A map's singular
-values are cached by singular_values alone; pseudoinverse cuts at the
+value over all blocks.  A map's singular values come from one values-only
+SVD per block, cached by singular_values alone; pseudoinverse cuts at the
 largest value of its own full SVDs, so neither result depends on which of
 the two ran first.  The shadow (``embed``) and its pullback
 ``morphism_from_concrete`` stay as the oracles the tests check these
@@ -40,6 +37,7 @@ from .module import ModuleSpec, ModuleVector
 
 __all__ = [
     "Morphism",
+    "block_singular_values",
     "identity_morphism",
     "merged_singular_values",
     "morphism_from_concrete",
@@ -53,16 +51,21 @@ def _entry_view(mat: np.ndarray, m: int, n: int, nb: int) -> np.ndarray:
     return mat.reshape(m, nb, n, nb)
 
 
-def merged_singular_values(mats, sizes) -> np.ndarray:
-    """Shadow singular values of per-block arrays (..., rows, cols), descending along the last axis.
+def block_singular_values(mats) -> list:
+    """One values-only SVD per block of arrays (..., rows, cols); an empty block runs none.
 
-    One values-only SVD per block, each value repeated n_b times as the
-    shadow repeats the block; a leading axis stacks equal-shape summands.
+    A map's R_b has no leading axis; a stack of equal-shape summands (torus
+    modes, symbol samples) has one, so the whole stack takes one batched SVD.
     """
-    merged = np.concatenate(
-        [np.repeat(np.linalg.svd(r, compute_uv=False), nb, axis=-1) for nb, r in zip(sizes, mats)],
-        axis=-1,
-    )
+    return [
+        np.linalg.svd(r, compute_uv=False) if min(r.shape[-2:]) else np.zeros(r.shape[:-2] + (0,))
+        for r in mats
+    ]
+
+
+def merged_singular_values(block_values, sizes) -> np.ndarray:
+    """Shadow singular values from each block's values: n_b copies each, descending on the last axis."""
+    merged = np.concatenate([np.repeat(s, nb, axis=-1) for nb, s in zip(sizes, block_values)], axis=-1)
     return -np.sort(-merged, axis=-1)
 
 
@@ -178,23 +181,16 @@ class Morphism:
             other.source, self.target, [o @ r for o, r in zip(other.mats, self.mats)]
         )
 
-    def __add__(self, other: "Morphism") -> "Morphism":
+    def _blockwise(self, other: "Morphism", op, what: str) -> "Morphism":
         if self.source != other.source or self.target != other.target:
-            raise SpecMismatch("morphism sum needs matching source and target")
-        return Morphism(
-            self.source,
-            self.target,
-            [x + y for x, y in zip(self.mats, other.mats)],
-        )
+            raise SpecMismatch(f"morphism {what} needs matching source and target")
+        return Morphism(self.source, self.target, [op(x, y) for x, y in zip(self.mats, other.mats)])
+
+    def __add__(self, other: "Morphism") -> "Morphism":
+        return self._blockwise(other, np.add, "sum")
 
     def __sub__(self, other: "Morphism") -> "Morphism":
-        if self.source != other.source or self.target != other.target:
-            raise SpecMismatch("morphism difference needs matching source and target")
-        return Morphism(
-            self.source,
-            self.target,
-            [x - y for x, y in zip(self.mats, other.mats)],
-        )
+        return self._blockwise(other, np.subtract, "difference")
 
     def __mul__(self, c) -> "Morphism":
         c = complex(c)
@@ -232,10 +228,11 @@ class Morphism:
     def singular_values(self) -> np.ndarray:
         """Singular values of the shadow, descending: each block's values n_b times.
 
-        The only writer of the cache: merged_singular_values on the R_b.
+        The only writer of the cache.
         """
         if self._svals is None:
-            self._svals = _freeze(merged_singular_values(self.mats, self.algebra.block_sizes))
+            merged = merged_singular_values(block_singular_values(self.mats), self.algebra.block_sizes)
+            self._svals = _freeze(merged)
         return self._svals
 
     def norm(self) -> float:
@@ -243,8 +240,7 @@ class Morphism:
         return float(s[0]) if s.size else 0.0
 
     def concrete_rank(self, cutoff: float = 1e-10) -> int:
-        rank, _ = singular_rank(self.singular_values(), cutoff)
-        return rank
+        return self.rank_with_margin(cutoff)[0]
 
     def rank_with_margin(self, cutoff: float = 1e-10):
         return singular_rank(self.singular_values(), cutoff)

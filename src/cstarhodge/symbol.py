@@ -11,10 +11,7 @@ and measures how invertible it is.  Exactness of the sequence at a sample is
 equivalent to invertibility of every S_i there, and the weighted variants
 lam * s_i* s_i + mu * s_{i-1} s_{i-1}* stay invertible for any nonzero
 weights; the scan verifies both directions with explicit margins.  A
-certificate only speaks for the sampled covectors.  Samples with equal
-fibers are a direct sum of equal-shape complexes: the scan stacks their maps
-per algebra block, so every SVD runs once per degree and block on the whole
-stack, and exactness_check is the case of one sample.
+certificate only speaks for the sampled covectors.
 
 The module also builds the exterior-algebra symbols of the de Rham complex:
 at covector xi the degree-k map is wedging with 2*pi*i*xi, and the symbol
@@ -38,7 +35,7 @@ from .chain import (
     random_unitary_morphism,
 )
 from .errors import EmptySampleSet, IndexOutOfRange, ZeroCoefficient
-from .hom import Morphism, merged_singular_values, singular_rank
+from .hom import Morphism, block_singular_values, merged_singular_values, singular_rank
 from .module import ModuleSpec
 
 __all__ = [
@@ -202,21 +199,22 @@ def symbol_laplacian(sample: SymbolSample, i: int) -> Morphism:
 def _exactness_rows(samples, degrees, cutoff: float) -> list:
     """Per sample, its ExactnessResults at the given degrees; the samples share their fibers.
 
-    Each map and each Laplacian is stacked per block over the samples, so
-    every SVD runs once per block on the whole stack; each rank cut stays
-    relative to one sample's own largest singular value.
+    The maps' ranks read each map's cached singular values (the D D = 0
+    check fills them as a complex of two or more maps is built); the
+    Laplacians are stacked per block over the samples, one SVD per block.
     """
     fibers = samples[0].fibers
     sizes = fibers[0].algebra.block_sizes
     maps, cuts = {}, {}
     for j in {j for i in degrees for j in (i - 1, i)}:
-        maps[j] = [np.stack(b) for b in zip(*(s.chain.differential(j).mats for s in samples))]
-        cuts[j] = singular_rank(merged_singular_values(maps[j], sizes), cutoff)
+        diffs = [s.chain.differential(j) for s in samples]
+        maps[j] = [np.stack(b) for b in zip(*(d.mats for d in diffs))]
+        cuts[j] = singular_rank(np.stack([d.singular_values() for d in diffs]), cutoff)
     columns = []
     for i in degrees:
         (rank_in, margin_in), (rank_out, margin_out) = cuts[i - 1], cuts[i]
         dim = fibers[i].concrete_dim
-        lap = merged_singular_values(laplacian_mats(maps[i - 1], maps[i]), sizes)
+        lap = merged_singular_values(block_singular_values(laplacian_mats(maps[i - 1], maps[i])), sizes)
         values = zip(
             rank_in, dim - rank_out, np.minimum(margin_in, margin_out),
             *_restricted_min_singular(lap, dim),
@@ -334,12 +332,8 @@ def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
             if r.decision_margin <= 10.0:
                 fragile = True
 
-    if any_nonexact:
-        verdict = "inconclusive" if fragile else "not-elliptic"
-    elif fragile:
-        verdict = "inconclusive"
-    else:
-        verdict = "elliptic"
+    # a fragile decision makes any verdict inconclusive
+    verdict = "inconclusive" if fragile else "not-elliptic" if any_nonexact else "elliptic"
     return EllipticityCertificate(
         verdict=verdict,
         samples=len(samples),
@@ -352,6 +346,16 @@ def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
 
 
 # -- generators ----------------------------------------------------------------------
+
+
+def _framed_sample(tag: str, rng, algebra, ranks, first_pairs, second_pairs) -> SymbolSample:
+    """U -> V -> W with block shifts on the given entry pairs, conjugated by random unitary frames."""
+    mods = [ModuleSpec(algebra, m) for m in ranks]
+    frames = [random_unitary_morphism(m, rng) for m in mods]
+    first = _shift_morphism(mods[0], mods[1], first_pairs, rng)
+    second = _shift_morphism(mods[1], mods[2], second_pairs, rng)
+    maps = [frames[1] @ first @ frames[0].adjoint(), frames[2] @ second @ frames[1].adjoint()]
+    return SymbolSample(tag, mods, maps)
 
 
 def random_exact_sample(
@@ -377,19 +381,10 @@ def random_exact_sample(
             break
     b = int(rng.integers(lo, hi + 1))
     c = m_v - b
-
-    mods = [ModuleSpec(algebra, m) for m in (m_u, m_v, m_w)]
-    frames = [random_unitary_morphism(m, rng) for m in mods]
-
-    first = _shift_morphism(mods[0], mods[1], [(l, l) for l in range(b)], rng)
-    second = _shift_morphism(mods[1], mods[2], [(b + l, l) for l in range(c)], rng)
-    maps = [
-        frames[1] @ first @ frames[0].adjoint(),
-        frames[2] @ second @ frames[1].adjoint(),
-    ]
     if tag is None:
         tag = f"exact-{m_u}-{m_v}-{m_w}-b{b}"
-    sample = SymbolSample(tag, mods, maps)
+    pairs = [(l, l) for l in range(b)], [(b + l, l) for l in range(c)]
+    sample = _framed_sample(tag, rng, algebra, (m_u, m_v, m_w), *pairs)
     plan = {"ranks": (m_u, m_v, m_w), "image_rank": b, "kernel_rank": b, "coimage_rank": c}
     return sample, plan
 
@@ -410,18 +405,9 @@ def random_degenerate_sample(
     b = int(rng.integers(0, m_u + 1))
     c = int(rng.integers(0, m_w + 1))
     m_v = slack + b + c
-
-    mods = [ModuleSpec(algebra, m) for m in (m_u, m_v, m_w)]
-    frames = [random_unitary_morphism(m, rng) for m in mods]
-
-    first = _shift_morphism(mods[0], mods[1], [(l, slack + l) for l in range(b)], rng)
-    second = _shift_morphism(mods[1], mods[2], [(slack + b + l, l) for l in range(c)], rng)
-    maps = [
-        frames[1] @ first @ frames[0].adjoint(),
-        frames[2] @ second @ frames[1].adjoint(),
-    ]
     if tag is None:
         tag = f"degenerate-{m_u}-{m_v}-{m_w}-slack{slack}"
-    sample = SymbolSample(tag, mods, maps)
+    pairs = [(l, slack + l) for l in range(b)], [(slack + b + l, l) for l in range(c)]
+    sample = _framed_sample(tag, rng, algebra, (m_u, m_v, m_w), *pairs)
     plan = {"ranks": (m_u, m_v, m_w), "image_rank": b, "coimage_rank": c, "slack": slack}
     return sample, plan

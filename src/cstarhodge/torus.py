@@ -18,9 +18,7 @@ hard-coded.
 A section keeps, per algebra block, one (modes, n_b, m*n_b) stack of the
 coefficients' row matrices (the layout of ModuleVector.rows), so a module
 map R_b acts on every mode at once as one batched product, and the fiber
-norms at a grid of points come from one product with the phase matrix.  The
-de Rham complexes of all modes have equal shapes, so harmonic_rank_report
-keeps each degree's symbol maps as one (modes, rows, cols) stack per block.
+norms at a grid of points come from one product with the phase matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 from .algebra import AlgebraElement, _freeze
 from .chain import block_free_rank, laplacian_mats
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
-from .hom import identity_morphism, merged_singular_values, singular_rank
+from .hom import block_singular_values, identity_morphism, merged_singular_values, singular_rank
 from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
 from .symbol import _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
 
@@ -604,59 +602,73 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
     """Mode-diagonal harmonic analysis of the de Rham complex.
 
     Mode q has its own de Rham complex: the form fibers with the symbol maps
-    (wedging with 2 pi i q) between them.  These complexes have equal shapes,
-    so each degree's maps are one (modes, rows, cols) stack per block, and
-    each Laplacian, composition and SVD runs once per degree and block.  Each
-    mode's Laplacian is checked against the scalar multiplier 4 pi^2 |q|^2,
-    and its nullity, cut at that mode's own largest singular value, is
-    accumulated; only the zero mode may contribute.  D D = 0 is reported as
-    the largest raw norm of consecutive symbol maps.  Reports the concrete
-    harmonic dimension, the free rank read from the per-block nullities of
-    the kernel modes, and the expected binomial(n, k) * fiber values.
+    (wedging with 2 pi i q) between them.  Over a run of modes each degree's
+    maps are one (modes, rows, cols) stack per block; a run holds as many
+    modes as keep a stack of the widest form fiber within MAX_MODULE_DIM^2
+    entries, one largest Laplacian, so memory does not grow with the band.
+    Each mode's Laplacian is checked against the scalar multiplier
+    4 pi^2 |q|^2, and its nullity, cut at that mode's own largest singular
+    value, is accumulated; only the zero mode may contribute.  D D = 0 is
+    reported as the largest raw norm of consecutive symbol maps.  Reports the
+    concrete harmonic dimension, the free rank from the zero mode's per-block
+    nullities, and the expected binomial(n, k) * fiber values.
     """
     n, r, sizes = geometry.dimension, geometry.fiber.rank, geometry.algebra.block_sizes
     modes, lam = geometry.modes, geometry.laplacian_values
     fibers = [geometry.form_fiber(k) for k in range(n + 1)]
-    # D_{-1}, D_0, ..., D_n: both ends pass through the zero module
-    coeffs = [np.zeros((len(modes), 0, fibers[0].rank))]
-    coeffs += [de_rham_symbol_coeffs(n, k, modes, r) for k in range(n + 1)]
-    maps = [_scalar_mats(c, sizes) for c in coeffs]
-    zero_mode = [tuple([0] * n)]
-    reports = []
-    for k, fib in enumerate(fibers):
-        lap = laplacian_mats(maps[k], maps[k + 1])
-        svals = merged_singular_values(lap, sizes)
-        nullity = fib.concrete_dim - singular_rank(svals, cutoff)[0]
-        kernel = np.flatnonzero(nullity)
-        residual = [x - lam[:, None, None] * e for x, e in zip(lap, identity_morphism(fib).mats)]
-        square = 0.0
-        if k + 1 < n:
-            twice = [a @ b for a, b in zip(maps[k + 1], maps[k + 2])]
-            square = float(merged_singular_values(twice, sizes)[:, 0].max())
-        # the kernel modes' nullity as R_b matrices, block by block, cut as svals is
-        cut = cutoff * svals[kernel, :1]
-        nullities = [
-            rank_b * len(kernel)
-            - np.count_nonzero(np.linalg.svd(x[kernel], compute_uv=False) > cut)
-            for rank_b, x in zip(fib.block_ranks, lap)
-        ]
-        slots = len(exterior_basis(n, k))
-        rep = {
+    idents = [identity_morphism(f).mats for f in fibers]
+    widest = max(f.rank for f in fibers) * geometry.algebra.dim
+    run = max(1, MAX_MODULE_DIM**2 // max(1, widest) ** 2)
+    zero = geometry.mode_index[(0,) * n]
+
+    def largest(mats) -> float:
+        s = merged_singular_values(block_singular_values(mats), sizes)
+        return float(s[:, 0].max()) if s.shape[-1] else 0.0
+
+    reports = [
+        {
             "degree": k,
-            "harmonic_dim": int(nullity.sum()),
+            "harmonic_dim": 0,
             "expected_dim": slots * geometry.fiber.concrete_dim,
-            "free_rank": block_free_rank(nullities, sizes),
+            "free_rank": None,
             "expected_free_rank": slots * r if geometry.fiber.projection is None else None,
-            "kernel_modes": [tuple(int(x) for x in modes[j]) for j in kernel],
-            "max_multiplier_residual": float(merged_singular_values(residual, sizes)[:, 0].max()),
-            "max_square_residual": square,
+            "kernel_modes": [],
+            "max_multiplier_residual": 0.0,
+            "max_square_residual": 0.0,
         }
+        for k, slots in enumerate(len(exterior_basis(n, k)) for k in range(n + 1))
+    ]
+    for start in range(0, len(modes), run):
+        part = slice(start, start + run)
+        qs = modes[part]
+        # D_{-1}, D_0, ..., D_n: both ends pass through the zero module
+        coeffs = [np.zeros((len(qs), 0, fibers[0].rank))]
+        coeffs += [de_rham_symbol_coeffs(n, k, qs, r) for k in range(n + 1)]
+        maps = [_scalar_mats(c, sizes) for c in coeffs]
+        for k, (fib, rep) in enumerate(zip(fibers, reports)):
+            lap = laplacian_mats(maps[k], maps[k + 1])
+            blocks = block_singular_values(lap)
+            svals = merged_singular_values(blocks, sizes)
+            nullity = fib.concrete_dim - singular_rank(svals, cutoff)[0]
+            rep["harmonic_dim"] += int(nullity.sum())
+            rep["kernel_modes"] += [tuple(int(x) for x in q) for q in qs[nullity != 0]]
+            residual = [x - lam[part, None, None] * e for x, e in zip(lap, idents[k])]
+            rep["max_multiplier_residual"] = max(rep["max_multiplier_residual"], largest(residual))
+            if k + 1 < n:
+                twice = [a @ b for a, b in zip(maps[k + 1], maps[k + 2])]
+                rep["max_square_residual"] = max(rep["max_square_residual"], largest(twice))
+            if start <= zero < start + run:
+                # the zero mode's nullity in each block, cut as svals is
+                j = zero - start
+                cut = cutoff * svals[j, :1]
+                dims = [d - np.count_nonzero(v[j] > cut) for d, v in zip(fib.block_ranks, blocks)]
+                rep["free_rank"] = block_free_rank(dims, sizes)
+    for rep in reports:
         rep["passed"] = (
             rep["harmonic_dim"] == rep["expected_dim"]
-            and rep["kernel_modes"] == zero_mode
+            and rep["kernel_modes"] == [(0,) * n]
             and (rep["expected_free_rank"] is None or rep["free_rank"] == rep["expected_free_rank"])
         )
-        reports.append(rep)
     return reports
 
 

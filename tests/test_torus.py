@@ -511,19 +511,53 @@ def _report_mode_by_mode(geo, cutoff=1e-10):
     return reports
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    n=st.integers(1, 3),
-    band=st.integers(0, 2),
-    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
-    rank=st.integers(1, 2),
-)
-def test_harmonic_report_equals_mode_by_mode(n, band, blocks, rank):
-    # the stacked report reads the same numbers, bit for bit, as a loop over
-    # the modes with one complex each
-    geo = TorusGeometry(n, band, ModuleSpec(AlgebraSpec(blocks), rank))
-    for got, want in zip(harmonic_rank_report(geo), _report_mode_by_mode(geo)):
+def _assert_same_reports(got_reports, want_reports):
+    for got, want in zip(got_reports, want_reports, strict=True):
         for key, value in want.items():
             assert got[key] == value
             if isinstance(value, float):
                 assert np.float64(got[key]).tobytes() == np.float64(value).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    band=st.integers(0, 2),
+    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
+    rank=st.integers(0, 2),
+    cutoff=st.sampled_from([1e-10, 2.0]),
+)
+def test_harmonic_report_equals_mode_by_mode(n, band, blocks, rank, cutoff):
+    # the stacked report reads the same numbers, bit for bit, as a loop over
+    # the modes with one complex each; a cutoff of 2 drops every singular
+    # value, so every mode lands in the kernel and the free rank must still
+    # come from the zero mode alone
+    geo = TorusGeometry(n, band, ModuleSpec(AlgebraSpec(blocks), rank))
+    _assert_same_reports(harmonic_rank_report(geo, cutoff), _report_mode_by_mode(geo, cutoff))
+
+
+def test_harmonic_report_runs_of_modes_stay_within_budget(monkeypatch):
+    # with the cap lowered, the modes go in runs whose stacks each hold at
+    # most cap^2 entries, and the report does not change; the fiber is
+    # projective, where the report must still read as one complex per mode
+    fiber = ModuleSpec(AlgebraSpec((1, 2)), 2, projection=(np.eye(2), np.diag([1.0, 1, 1, 0])))
+    geo = TorusGeometry(2, 1, fiber)
+    want = harmonic_rank_report(geo)
+    _assert_same_reports(want, _report_mode_by_mode(geo))
+    sizes, laplacians = [], []
+    for name in ("_scalar_mats", "laplacian_mats", "block_singular_values"):
+        real = getattr(torus, name)
+
+        def spy(*args, real=real, name=name):
+            out = real(*args)
+            sizes.extend(x.size for x in out)
+            if name == "laplacian_mats":
+                laplacians.append(out[0].shape[0])
+            return out
+
+        monkeypatch.setattr(torus, name, spy)
+    monkeypatch.setattr(torus, "MAX_MODULE_DIM", 40)  # widest form fiber: 2 * 2 * 5 = 20
+    got = harmonic_rank_report(geo)
+    assert laplacians == [4] * 3 + [4] * 3 + [1] * 3  # 9 modes in runs of 40^2 // 20^2
+    assert 0 < max(sizes) <= 40**2
+    _assert_same_reports(got, want)
