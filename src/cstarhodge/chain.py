@@ -26,15 +26,19 @@ from .algebra import AlgebraElement, AlgebraSpec
 from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
+    NotAComplex,
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, identity_morphism, random_morphism
+from .hom import Morphism, block_singular_values, identity_morphism, random_morphism
 from .module import ModuleSpec, ModuleVector, inner_product
 
 __all__ = [
     "ChainComplex",
     "laplacian_mats",
+    "require_squares",
+    "square_residual_values",
+    "zero_end_maps",
     "Parametrix",
     "HodgeSplit",
     "HodgeIsomorphism",
@@ -60,6 +64,56 @@ def laplacian_mats(ins, outs) -> list:
     if not terms:  # a complex of one module
         return [np.zeros(r.shape[:-2] + 2 * r.shape[-1:], dtype=complex) for r in ins]
     return [sum(t[1:], t[0]) for t in zip(*terms)]
+
+
+def zero_end_maps(modules) -> tuple:
+    """D_{-1} and D_L of a complex on these modules: zero maps through the zero module."""
+    zero = ModuleSpec(modules[0].algebra, 0)
+    return Morphism.zero(zero, modules[0]), Morphism.zero(modules[-1], zero)
+
+
+def _largest_singular(mats) -> np.ndarray:
+    """Operator norm of each map in per-block arrays (..., rows, cols), over all blocks."""
+    tops = [s[..., 0] for s in block_singular_values(mats) if s.shape[-1]]
+    return np.max(tops, axis=0) if tops else np.zeros(mats[0].shape[:-2])
+
+
+def square_residual_values(diffs, norms) -> tuple:
+    """(raw, relative) residual of D_{i+1} D_i = 0 for each consecutive pair i.
+
+    diffs[i] holds D_i's arrays (..., rows, cols), one per algebra block,
+    with a leading axis for a stack of equal-shape summands, and norms[i]
+    its operator norm (...).  raw is ||D_{i+1} D_i|| from one batched
+    product and one values-only SVD per block, relative is raw divided by
+    max(1, ||D_{i+1}|| ||D_i||); both are lists over the pairs.
+    """
+    raw = [
+        _largest_singular([a @ b for a, b in zip(low, high)])
+        for low, high in zip(diffs, diffs[1:])
+    ]
+    rel = [r / np.maximum(1.0, n_high * n_low) for r, n_low, n_high in zip(raw, norms, norms[1:])]
+    return raw, rel
+
+
+def require_squares(raw, rel, tol: float):
+    """Raise NotAComplex when a relative residual exceeds tol.
+
+    raw and rel are square_residual_values' lists.  The error names the
+    first failing summand, then its first failing pair; with a leading axis
+    its index is that summand's.
+    """
+    if not rel:
+        return
+    bad = (np.stack(rel) > tol).reshape(len(rel), -1)
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        j = int(failing[0])
+        i = int(np.flatnonzero(bad[:, j])[0])
+        raise NotAComplex(
+            f"differentials {i + 1} after {i} compose to norm {raw[i].reshape(-1)[j]:.3e}, "
+            "not a complex",
+            index=j if np.ndim(rel[0]) else None,
+        )
 
 
 def block_free_rank(dims, sizes, tol: float = 1e-8) -> Optional[int]:
@@ -209,19 +263,28 @@ class ChainComplex:
         for i, diff in enumerate(differentials):
             if diff.source != modules[i] or diff.target != modules[i + 1]:
                 raise SpecMismatch(f"differential {i} does not match its modules")
+        self._setup(modules, differentials, zero_end_maps(modules))
+        self.square_residuals(tol, strict=True)
+
+    @classmethod
+    def _checked(cls, modules, differentials, ends) -> "ChainComplex":
+        """A complex whose D D = 0 check already ran on a stack holding its maps.
+
+        The maps are built over these modules, and ends are
+        zero_end_maps(modules), shared by the complexes of the stack.
+        """
+        cx = cls.__new__(cls)
+        cx._setup(list(modules), list(differentials), ends)
+        return cx
+
+    def _setup(self, modules: list, differentials: list, ends):
         self.modules = modules
         self.diffs = differentials
-        self.algebra = algebra
-        zero = ModuleSpec(algebra, 0)
+        self.algebra = modules[0].algebra
         # D_{-1}, D_0, ..., D_{L-1}, D_L: zero maps through the zero module at the ends
-        self._padded = (
-            [Morphism.zero(zero, modules[0])]
-            + differentials
-            + [Morphism.zero(modules[-1], zero)]
-        )
+        self._padded = [ends[0], *differentials, ends[1]]
         self._laplacians: dict = {}
         self._parametrices: dict = {}
-        self.square_residuals(tol, strict=True)
 
     @property
     def top_degree(self) -> int:
@@ -240,17 +303,11 @@ class ChainComplex:
 
     def square_residuals(self, tol: float = 1e-9, strict: bool = False) -> list:
         """Operator norms of D_{i+1} D_i, relative to the factor norms."""
-        out = []
-        for i in range(len(self.diffs) - 1):
-            raw = (self.diffs[i + 1] @ self.diffs[i]).norm()
-            scale = max(1.0, self.diffs[i + 1].norm() * self.diffs[i].norm())
-            out.append(raw / scale)
-            if strict and out[-1] > tol:
-                raise SpecMismatch(
-                    f"differentials {i + 1} after {i} compose to norm {raw:.3e}, "
-                    "not a complex"
-                )
-        return out
+        norms = [d.norm() for d in self.diffs]
+        raw, rel = square_residual_values([d.mats for d in self.diffs], norms)
+        if strict:
+            require_squares(raw, rel, tol)
+        return [float(r) for r in rel]
 
     # -- Laplacian and parametrix ------------------------------------------------
 

@@ -9,6 +9,14 @@ class SpecMismatch(CStarHodgeError):
     """Operands live over incompatible algebras, modules, or shapes."""
 
 
+class NotAComplex(SpecMismatch):
+    """Differentials do not compose to zero; index names the failing summand of a stack."""
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
+
+
 class IndexOutOfRange(CStarHodgeError, IndexError):
     """Degree index lies outside the complex."""
 

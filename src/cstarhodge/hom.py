@@ -20,11 +20,12 @@ sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with
 blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
 value over all blocks.  A map's singular values come from one values-only
-SVD per block, cached by singular_values alone; pseudoinverse cuts at the
+SVD per block, cached on the map; pseudoinverse cuts at the
 largest value of its own full SVDs, so neither result depends on which of
-the two ran first.  The shadow (``embed``) and its pullback
-``morphism_from_concrete`` stay as the oracles the tests check these
-numerics against.
+the two ran first.  Maps read as one stack (stacked_morphisms) get their
+caches filled from one SVD per block over the whole stack.  The shadow
+(``embed``) and its pullback ``morphism_from_concrete`` stay as the
+oracles the tests check these numerics against.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "morphism_from_concrete",
     "random_morphism",
     "singular_rank",
+    "stacked_morphisms",
 ]
 
 
@@ -74,21 +76,24 @@ def singular_rank(svals, cutoff: float):
 
     Returns (rank, margin) where margin says how decisively the values split:
     the factor by which the smallest kept value clears cutoff*smax and the
-    largest dropped value stays below it.  margin = inf for an empty or
-    unambiguous split (all kept or all dropped with room to spare is still
-    reported by its ratio; only an empty spectrum gives inf).  Spectra
-    stacked along leading axes give arrays, each cut at its own largest
-    value; one spectrum gives an int and a float.
+    largest nonzero dropped value stays below it.  All kept or all dropped
+    is still reported by its ratio; an empty or all-zero spectrum gives
+    margin = inf.  The cutoff is positive.  Spectra stacked along leading
+    axes give arrays, each cut at its own largest value; one spectrum gives
+    an int and a float.
     """
     s = np.asarray(svals, dtype=float)
     thresh = cutoff * s[..., :1]
-    # s / thresh of a kept value and thresh / s of a dropped one are the
-    # larger of the two; the least of them is the margin.  fmin skips the
-    # NaN (0/0) of a zero spectrum.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.fmax(s / thresh, thresh / s)
-    rank = np.add.reduce(s > thresh, axis=-1)
-    margin = np.fmin.reduce(ratios, axis=-1, initial=np.inf)
+    kept = s > thresh
+    # s / thresh of a kept value and thresh / s of a dropped one, each the
+    # larger of the two; a zero value (and so a zero spectrum) stays inf,
+    # so nothing is divided by zero
+    ratios = np.empty_like(s)
+    ratios.fill(np.inf)
+    np.divide(thresh, s, out=ratios, where=s > 0)
+    np.divide(s, thresh, out=ratios, where=kept)
+    rank = np.add.reduce(kept, axis=-1)
+    margin = np.minimum.reduce(ratios, axis=-1, initial=np.inf)
     return (int(rank), float(margin)) if s.ndim == 1 else (rank, margin)
 
 
@@ -228,7 +233,7 @@ class Morphism:
     def singular_values(self) -> np.ndarray:
         """Singular values of the shadow, descending: each block's values n_b times.
 
-        The only writer of the cache.
+        Cached; stacked_morphisms is the only other writer of the cache.
         """
         if self._svals is None:
             merged = merged_singular_values(block_singular_values(self.mats), self.algebra.block_sizes)
@@ -281,6 +286,23 @@ class Morphism:
             f"Morphism({self.source.rank} -> {self.target.rank} "
             f"over {self.algebra.block_sizes})"
         )
+
+
+def stacked_morphisms(source: ModuleSpec, target: ModuleSpec, stacks) -> tuple:
+    """One map per leading index of per-block stacks (count, rows, cols), and their singular values.
+
+    One values-only SVD per block on the whole stack gives the merged
+    values (count, k), which fill each map's singular value cache, so no
+    map runs an SVD of its own.
+    """
+    sizes = source.algebra.block_sizes
+    svals = _freeze(merged_singular_values(block_singular_values(stacks), sizes))
+    maps = []
+    for j, values in enumerate(svals):
+        t = Morphism(source, target, [r[j] for r in stacks])
+        t._svals = values
+        maps.append(t)
+    return maps, svals
 
 
 def identity_morphism(module: ModuleSpec) -> Morphism:

@@ -10,26 +10,36 @@ Conventions, shared by every format:
 
 Loading validates shapes, value types and finiteness and raises
 ValidationError with the offending location; malformed JSON raises
-ParseError.  A module whose rank times the algebra dimension exceeds
-MAX_MODULE_DIM is refused before anything is allocated for it.  Saving
-writes every float in its shortest round-trip form, so save/load
-round-trips are exact.
+ParseError.  Module maps are read as stacks: all the maps of one shape
+(one degree of a sample set, or a single map as the stack of one) become
+one (count, rows*nb, cols*nb) array per algebra block from one array
+conversion, after each level of nesting and then every number (an int or
+a float, not a bool, finite) is checked on the whole level at once.  Only
+when that check fails does a walker go through the data number by number,
+in file order, to name the first malformed location.  A sample set's
+D D = 0 check runs on its stacks, once per pair of degrees and block, and
+a failure names the first failing sample in file order, ahead of any
+malformed number after it.  A module whose rank times the algebra
+dimension exceeds MAX_MODULE_DIM is refused before anything is allocated
+for it.  Saving writes every float in its shortest round-trip form, with
+one tolist() per block of a map, so save/load round-trips are exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .algebra import AlgebraSpec
 from .chain import ChainComplex
-from .errors import CStarHodgeError, ParseError, ValidationError
+from .errors import CStarHodgeError, NotAComplex, ParseError, ValidationError
 from .hom import Morphism, _entry_view, identity_morphism
 from .module import MAX_MODULE_DIM, ModuleSpec, _entry_slots
-from .symbol import SymbolSample
+from .symbol import stacked_samples
 from .torus import TorusGeometry, TorusSection
 
 COMPLEX_SCHEMA = "cstarhodge-complex/1"
@@ -95,10 +105,6 @@ def _complex_from(v, where: str) -> complex:
     return complex(_number(v[0], where), _number(v[1], where))
 
 
-def _block_to(b: np.ndarray) -> list:
-    return np.stack((b.real, b.imag), axis=-1).tolist()
-
-
 def _block_into(out: np.ndarray, data, where: str):
     """Read an nb x nb block of complex numbers into the view out."""
     nb = out.shape[0]
@@ -111,16 +117,84 @@ def _block_into(out: np.ndarray, data, where: str):
             out[r, c] = _complex_from(v, f"{where}[{r}][{c}]")
 
 
-def _element_to(blocks) -> list:
-    return [_block_to(np.asarray(b)) for b in blocks]
-
-
 def _element_into(outs, data, where: str):
     """Read an algebra element into one nb x nb view per algebra block."""
     if not isinstance(data, list) or len(data) != len(outs):
         _fail(where, f"expected {len(outs)} algebra blocks")
     for b, (out, blk) in enumerate(zip(outs, data)):
         _block_into(out, blk, f"{where}.block{b}")
+
+
+def _unnest(items: list, lengths) -> Optional[list]:
+    """items' elements, one level per length, when each level holds lists of exactly that length."""
+    for length in lengths:
+        if not set(map(type, items)) <= {list} or not set(map(len, items)) <= {length}:
+            return None
+        items = list(chain.from_iterable(items))
+    return items
+
+
+def _element_stacks(sizes, elements: list) -> Optional[list]:
+    """Per algebra block, the (count, nb, nb) complex array of count algebra elements.
+
+    Every level of the nesting is checked at once, then every number (an
+    int or a float, not a bool, inside the float range and finite), with one
+    array conversion per block.  None when anything is off, so that the
+    caller can walk the data to name the location.
+    """
+    blocks = _unnest(elements, (len(sizes),))
+    if blocks is None:
+        return None
+    out = []
+    for b, nb in enumerate(sizes):
+        numbers = _unnest(blocks[b :: len(sizes)], (nb, nb, 2))
+        if numbers is None or not set(map(type, numbers)) <= {int, float}:
+            return None
+        try:
+            values = np.array(numbers, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            return None
+        if not np.isfinite(values).all():
+            return None
+        out.append(values.view(complex).reshape(-1, nb, nb))
+    return out
+
+
+def _matrix_stacks(algebra: AlgebraSpec, matrices: list, rows: int, cols: int) -> Optional[list]:
+    """Per block, the R_b of count rows x cols matrices as one (count, rows*nb, cols*nb) stack.
+
+    None when the data is malformed anywhere (see _element_stacks).
+    """
+    entries = _unnest(matrices, (rows, cols))
+    elements = None if entries is None else _element_stacks(algebra.block_sizes, entries)
+    if elements is None:
+        return None
+    count = len(matrices)
+    return [
+        e.reshape(count, rows, cols, nb, nb)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(count, rows * nb, cols * nb)
+        for nb, e in zip(algebra.block_sizes, elements)
+    ]
+
+
+def _stacks_to_data(stacks, rows: int, cols: int, sizes) -> list:
+    """Per-block stacks (count, rows*nb, cols*nb) of R_b -> count rows x cols nested lists.
+
+    One tolist() per block, on a float view of the [re, im] pairs.
+    """
+    count = len(stacks[0])
+    per_block = [
+        np.ascontiguousarray(st.reshape(count, rows, nb, cols, nb).transpose(0, 1, 3, 2, 4))
+        .view(float)
+        .reshape(count, rows, cols, nb, nb, 2)
+        .tolist()
+        for nb, st in zip(sizes, stacks)
+    ]
+    return [
+        [[list(entry) for entry in zip(*row)] for row in zip(*matrix)]
+        for matrix in zip(*per_block)
+    ]
 
 
 # -- algebra ----------------------------------------------------------------------------
@@ -147,18 +221,25 @@ def algebra_from_data(data, where: str = "algebra") -> AlgebraSpec:
 
 def matrix_to_data(t: Morphism) -> list:
     """A module map's per-block matrices R_b -> rows x cols of algebra elements."""
-    m, n = t.source.rank, t.target.rank
-    views = [_entry_view(r, m, n, nb) for nb, r in zip(t.algebra.block_sizes, t.mats)]
-    return [
-        [_element_to([v[i, :, j, :] for v in views]) for j in range(n)]
-        for i in range(m)
-    ]
+    stacks = [r[None] for r in t.mats]
+    return _stacks_to_data(stacks, t.source.rank, t.target.rank, t.algebra.block_sizes)[0]
 
 
 def matrix_from_data(
     algebra: AlgebraSpec, data, rows: int, cols: int, where: str
 ) -> tuple:
-    """rows x cols of algebra elements -> per-block matrices R_b, shape checked first."""
+    """rows x cols of algebra elements -> per-block matrices R_b: the stack of one."""
+    stacks = _matrix_stacks(algebra, [data], rows, cols)
+    if stacks is None:
+        return _walk_matrix(algebra, data, rows, cols, where)
+    return tuple(st[0] for st in stacks)
+
+
+def _walk_matrix(algebra: AlgebraSpec, data, rows: int, cols: int, where: str) -> tuple:
+    """matrix_from_data number by number, raising at the first malformed location.
+
+    The shape is checked before anything is allocated.
+    """
     if not isinstance(data, list) or len(data) != rows:
         _fail(where, f"expected {rows} rows")
     for i, row in enumerate(data):
@@ -296,6 +377,11 @@ def sample_set_to_data(samples) -> dict:
 
 
 def sample_set_from_data(data, tol: float = 1e-9) -> list:
+    """Samples read as one stack per degree and block, D D = 0 checked on the stacks.
+
+    A malformed sample or a sample whose maps do not compose to zero is
+    reported at the first such sample in file order.
+    """
     algebra = algebra_from_data(_get(data, "algebra", "samples"))
     raw_fibers = _get(data, "fibers", "samples")
     if not isinstance(raw_fibers, list) or not raw_fibers:
@@ -306,26 +392,49 @@ def sample_set_from_data(data, tol: float = 1e-9) -> list:
     raw_samples = _get(data, "samples", "samples")
     if not isinstance(raw_samples, list) or not raw_samples:
         _fail("samples", "'samples' must be a nonempty list")
-    out = []
+    shapes = [(a.rank, b.rank) for a, b in zip(fibers, fibers[1:])]
+    tags, raw_maps, error = [], [], None
     for i, s in enumerate(raw_samples):
         where = f"samples[{i}]"
-        tag = _get(s, "tag", where)
-        if not isinstance(tag, str):
-            _fail(where, "'tag' must be a string")
-        raw_maps = _get(s, "maps", where)
-        if not isinstance(raw_maps, list) or len(raw_maps) != len(fibers) - 1:
-            _fail(where, f"expected {len(fibers) - 1} maps")
-        maps = []
-        for k, d in enumerate(raw_maps):
-            mats = matrix_from_data(
-                algebra, d, fibers[k].rank, fibers[k + 1].rank, f"{where}.maps[{k}]"
-            )
-            maps.append(Morphism(fibers[k], fibers[k + 1], mats))
         try:
-            out.append(SymbolSample(tag, fibers, maps, tol=tol))
-        except CStarHodgeError as e:
-            _fail(where, str(e))
-    return out
+            tag = _get(s, "tag", where)
+            if not isinstance(tag, str):
+                _fail(where, "'tag' must be a string")
+            maps = _get(s, "maps", where)
+            if not isinstance(maps, list) or len(maps) != len(shapes):
+                _fail(where, f"expected {len(shapes)} maps")
+        except ValidationError as e:
+            error = e
+            break
+        tags.append(tag)
+        raw_maps.append(maps)
+    stacks = [
+        _matrix_stacks(algebra, [maps[k] for maps in raw_maps], *shape)
+        for k, shape in enumerate(shapes)
+    ]
+    if any(st is None for st in stacks):
+        # walk the samples in order to the first malformed map
+        mats = []
+        for i, maps in enumerate(raw_maps):
+            try:
+                mats.append([
+                    _walk_matrix(algebra, d, *shape, f"samples[{i}].maps[{k}]")
+                    for k, (d, shape) in enumerate(zip(maps, shapes))
+                ])
+            except ValidationError as e:
+                error = e
+                break
+        if not mats:
+            raise error
+        tags = tags[: len(mats)]
+        stacks = [[np.stack(b) for b in zip(*(m[k] for m in mats))] for k in range(len(shapes))]
+    try:
+        samples = stacked_samples(tags, fibers, stacks, tol=tol)
+    except NotAComplex as e:
+        _fail(f"samples[{e.index}]", str(e))
+    if error is not None:
+        raise error
+    return samples
 
 
 # -- torus sections ------------------------------------------------------------------------------
@@ -333,14 +442,11 @@ def sample_set_from_data(data, tol: float = 1e-9) -> list:
 
 def section_to_data(s: TorusSection) -> dict:
     geo = s.geometry
-    coeffs = []
     m = geo.form_fiber(s.degree).rank
-    for q in s.support(tol=0.0):
-        idx = geo.mode_index[q]
-        views = [_entry_slots(b[idx], m, nb) for nb, b in zip(geo.algebra.block_sizes, s.rows)]
-        coeffs.append({"q": [int(x) for x in q], "value": [
-            _element_to([v[:, i, :] for v in views]) for i in range(m)
-        ]})
+    support = s.support(tol=0.0)
+    idx = [geo.mode_index[q] for q in support]
+    values = _stacks_to_data([b[idx] for b in s.rows], 1, m, geo.algebra.block_sizes)
+    coeffs = [{"q": [int(x) for x in q], "value": v[0]} for q, v in zip(support, values)]
     return {
         "schema": SECTION_SCHEMA,
         "geometry": {
@@ -381,26 +487,48 @@ def section_from_data(data) -> TorusSection:
         np.zeros((geo.num_modes, nb, m * nb), dtype=complex)
         for nb in algebra.block_sizes
     ]
+    try:
+        located = [_coefficient(geo, c, m, f"coeffs[{i}]") for i, c in enumerate(raw_coeffs)]
+    except ValidationError:
+        located = None
+    stacks = None if located is None else _matrix_stacks(algebra, [[v] for _, v in located], 1, m)
+    if stacks is None:
+        _walk_coefficients(geo, raw_coeffs, m, rows)
+    else:
+        for j, (idx, _) in enumerate(located):
+            for r, st in zip(rows, stacks):
+                r[idx] = st[j]
+    return TorusSection(geo, degree, rows)
+
+
+def _coefficient(geo: TorusGeometry, c, m: int, where: str) -> tuple:
+    """(mode index, value) of one section coefficient, its mode and entry count checked."""
+    n, band = geo.dimension, geo.band_limit
+    q = _get(c, "q", where)
+    if (
+        not isinstance(q, list)
+        or len(q) != n
+        or any(isinstance(x, bool) or not isinstance(x, int) for x in q)
+    ):
+        _fail(where, f"'q' must be a list of {n} integers")
+    key = tuple(q)
+    if key not in geo.mode_index:
+        _fail(where, f"mode {key} outside the band |q|_inf <= {band}")
+    value = _get(c, "value", where)
+    if not isinstance(value, list) or len(value) != m:
+        _fail(where, f"'value' must list {m} module entries")
+    return geo.mode_index[key], value
+
+
+def _walk_coefficients(geo: TorusGeometry, raw_coeffs: list, m: int, rows: list):
+    """Read the coefficients into rows number by number, raising at the first malformed location."""
+    sizes = geo.algebra.block_sizes
     for i, c in enumerate(raw_coeffs):
         where = f"coeffs[{i}]"
-        q = _get(c, "q", where)
-        if (
-            not isinstance(q, list)
-            or len(q) != n
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in q)
-        ):
-            _fail(where, f"'q' must be a list of {n} integers")
-        key = tuple(q)
-        if key not in geo.mode_index:
-            _fail(where, f"mode {key} outside the band |q|_inf <= {band}")
-        value = _get(c, "value", where)
-        if not isinstance(value, list) or len(value) != m:
-            _fail(where, f"'value' must list {m} module entries")
-        idx = geo.mode_index[key]
-        views = [_entry_slots(b[idx], m, nb) for nb, b in zip(algebra.block_sizes, rows)]
+        idx, value = _coefficient(geo, c, m, where)
+        views = [_entry_slots(b[idx], m, nb) for nb, b in zip(sizes, rows)]
         for e_i, entry in enumerate(value):
             _element_into([v[:, e_i, :] for v in views], entry, f"{where}.value[{e_i}]")
-    return TorusSection(geo, degree, rows)
 
 
 # -- files ----------------------------------------------------------------------------------------

@@ -33,13 +33,23 @@ from .chain import (
     _shift_morphism,
     laplacian_mats,
     random_unitary_morphism,
+    require_squares,
+    square_residual_values,
+    zero_end_maps,
 )
 from .errors import EmptySampleSet, IndexOutOfRange, ZeroCoefficient
-from .hom import Morphism, block_singular_values, merged_singular_values, singular_rank
+from .hom import (
+    Morphism,
+    block_singular_values,
+    merged_singular_values,
+    singular_rank,
+    stacked_morphisms,
+)
 from .module import ModuleSpec
 
 __all__ = [
     "SymbolSample",
+    "stacked_samples",
     "ExactnessResult",
     "EllipticityCertificate",
     "exactness_check",
@@ -153,6 +163,13 @@ class SymbolSample:
         self.tag = str(tag)
         self.chain = ChainComplex(list(fibers), list(maps), tol=tol)
 
+    @classmethod
+    def _of_chain(cls, tag: str, chain: ChainComplex) -> "SymbolSample":
+        sample = cls.__new__(cls)
+        sample.tag = str(tag)
+        sample.chain = chain
+        return sample
+
     @property
     def fibers(self):
         return self.chain.modules
@@ -168,6 +185,27 @@ class SymbolSample:
     def __repr__(self):
         ranks = [m.rank for m in self.fibers]
         return f"SymbolSample({self.tag!r}, ranks={ranks})"
+
+
+def stacked_samples(tags, fibers, stacks, tol: float = 1e-9) -> list:
+    """One SymbolSample per tag, from each degree's maps over all samples stacked per block.
+
+    stacks[k] holds the degree-k maps as one (samples, rows, cols) array per
+    algebra block.  Per degree and block one values-only SVD over the stack
+    fills every map's singular value cache, and D D = 0 is checked once on
+    the stacks, one batched product and SVD per pair of degrees and block;
+    NotAComplex.index names the first failing sample.  The samples' complexes
+    are not checked again.
+    """
+    fibers = list(fibers)
+    built = [stacked_morphisms(fibers[k], fibers[k + 1], st) for k, st in enumerate(stacks)]
+    norms = [s[:, 0] if s.shape[-1] else np.zeros(len(tags)) for _, s in built]
+    require_squares(*square_residual_values(stacks, norms), tol)
+    ends = zero_end_maps(fibers)
+    return [
+        SymbolSample._of_chain(tag, ChainComplex._checked(fibers, [m[j] for m, _ in built], ends))
+        for j, tag in enumerate(tags)
+    ]
 
 
 @dataclass(frozen=True)
@@ -199,9 +237,10 @@ def symbol_laplacian(sample: SymbolSample, i: int) -> Morphism:
 def _exactness_rows(samples, degrees, cutoff: float) -> list:
     """Per sample, its ExactnessResults at the given degrees; the samples share their fibers.
 
-    The maps' ranks read each map's cached singular values (the D D = 0
-    check fills them as a complex of two or more maps is built); the
-    Laplacians are stacked per block over the samples, one SVD per block.
+    The maps' ranks read each map's cached singular values (stacked_samples
+    fills them from one SVD per degree and block, and a complex of two or
+    more maps fills them in its D D = 0 check); the Laplacians are stacked
+    per block over the samples, one SVD per block.
     """
     fibers = samples[0].fibers
     sizes = fibers[0].algebra.block_sizes

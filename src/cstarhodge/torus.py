@@ -602,10 +602,12 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
     """Mode-diagonal harmonic analysis of the de Rham complex.
 
     Mode q has its own de Rham complex: the form fibers with the symbol maps
-    (wedging with 2 pi i q) between them.  Over a run of modes each degree's
-    maps are one (modes, rows, cols) stack per block; a run holds as many
-    modes as keep a stack of the widest form fiber within MAX_MODULE_DIM^2
-    entries, one largest Laplacian, so memory does not grow with the band.
+    (wedging with 2 pi i q) between them, each followed by its target
+    fiber's projection when the fiber is projective.  Over a run of modes
+    each degree's maps are one (modes, rows, cols) stack per block; a run
+    holds as many modes as keep a stack of the widest form fiber within
+    MAX_MODULE_DIM^2 entries, one largest Laplacian, so memory does not grow
+    with the band.
     Each mode's Laplacian is checked against the scalar multiplier
     4 pi^2 |q|^2, and its nullity, cut at that mode's own largest singular
     value, is accumulated; only the zero mode may contribute.  D D = 0 is
@@ -645,6 +647,10 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
         coeffs = [np.zeros((len(qs), 0, fibers[0].rank))]
         coeffs += [de_rham_symbol_coeffs(n, k, qs, r) for k in range(n + 1)]
         maps = [_scalar_mats(c, sizes) for c in coeffs]
+        for k, fib in enumerate(fibers[1:], start=1):
+            if fib.projection is not None:
+                # kron(c, I) commutes with kron(I_slots, P_b), so projecting the target suffices
+                maps[k] = [x @ p for x, p in zip(maps[k], fib.projection)]
         for k, (fib, rep) in enumerate(zip(fibers, reports)):
             lap = laplacian_mats(maps[k], maps[k + 1])
             blocks = block_singular_values(lap)

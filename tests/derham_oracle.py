@@ -9,7 +9,7 @@ compare its per-mode stacks against it.
 import numpy as np
 
 from cstarhodge.chain import ChainComplex
-from cstarhodge.hom import Morphism
+from cstarhodge.hom import Morphism, identity_morphism
 from cstarhodge.module import ModuleSpec, ModuleVector
 from cstarhodge.symbol import _scalar_mats, de_rham_symbol_coeffs, tiled_module
 from cstarhodge.torus import TorusGeometry, TorusSection, _side_by_side
@@ -33,7 +33,9 @@ def de_rham_differential(geometry: TorusGeometry, degree: int) -> Morphism:
         coeffs[
             idx * m_src : (idx + 1) * m_src, idx * m_tgt : (idx + 1) * m_tgt
         ] = de_rham_symbol_coeffs(n, degree, q, r)
-    return Morphism(src, tgt, _scalar_mats(coeffs, geometry.algebra.block_sizes))
+    d = Morphism(src, tgt, _scalar_mats(coeffs, geometry.algebra.block_sizes))
+    # on a projective fiber the symbol maps are followed by the target's projection
+    return identity_morphism(tgt) @ d if tgt.projection is not None else d
 
 
 def de_rham_complex(geometry: TorusGeometry) -> ChainComplex:

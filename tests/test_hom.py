@@ -156,6 +156,33 @@ def test_singular_rank_margins():
     assert singular_rank(np.zeros(3), 1e-10)[0] == 0
 
 
+def _fmax_ratio_rank(svals, cutoff):
+    """singular_rank's former formula: the least of fmax(s / thresh, thresh / s), NaN skipped."""
+    s = np.asarray(svals, dtype=float)
+    thresh = cutoff * s[..., :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.fmax(s / thresh, thresh / s)
+    rank = np.add.reduce(s > thresh, axis=-1)
+    margin = np.fmin.reduce(ratios, axis=-1, initial=np.inf)
+    return (int(rank), float(margin)) if s.ndim == 1 else (rank, margin)
+
+
+@pytest.mark.parametrize("cutoff", [1e-10, 0.3, 2.0])
+def test_singular_rank_is_bitwise_the_former_formula(cutoff):
+    rng = np.random.default_rng(4)
+    random = -np.sort(-rng.random((6, 9)) * 10.0 ** rng.integers(-14, 3, (6, 9)), axis=-1)
+    random[:2, -3:] = 0.0  # trailing exact zeros, as a rank-deficient map has
+    spectra = [random, np.zeros((3, 5)), np.full((2, 1), 2.5), np.zeros((4, 0)), np.array([[3.0], [0.0]])]
+    for stack in spectra:
+        for s in [stack, *stack]:  # stacked, then each spectrum on its own
+            with np.errstate(all="raise"):  # nothing is divided by zero
+                rank, margin = singular_rank(s, cutoff)
+            want_rank, want_margin = _fmax_ratio_rank(s, cutoff)
+            assert type(rank) is type(want_rank) and type(margin) is type(want_margin)
+            assert np.array_equal(rank, want_rank)
+            assert np.asarray(margin).tobytes() == np.asarray(want_margin).tobytes()
+
+
 def test_kernel_and_range_projections():
     rng = rng_for(2, "hom-proj", 0)
     alg = AlgebraSpec((2, 1))

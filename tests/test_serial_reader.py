@@ -1,0 +1,376 @@
+"""The stacked reader rejects exactly the malformed files the number-by-number reader rejects.
+
+Every file here breaks one number or one level of nesting inside a map, a
+module projection or a section coefficient.  The stacked conversion refuses
+it and the walker names the location; the message is the one the
+number-by-number reader gave before the reader was stacked, written out in
+EXPECTED.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cstarhodge import serial
+from cstarhodge.algebra import AlgebraSpec
+from cstarhodge.chain import ChainComplex
+from cstarhodge.cli import main
+from cstarhodge.errors import ValidationError
+from cstarhodge.hom import Morphism, random_morphism
+from cstarhodge.module import ModuleSpec
+from cstarhodge.symbol import SymbolSample, de_rham_symbol_sample, elliptic_scan
+from cstarhodge.torus import TorusGeometry, TorusSection, random_section
+from cstarhodge.util import rng_for
+
+ALGEBRA = AlgebraSpec((1, 2))
+BIG_LITERAL = "1e999"  # json.dumps writes an infinite float as Infinity, so this goes in as text
+
+
+def _complex_data() -> dict:
+    """A projective middle module between two rank 1 modules; D_1 D_0 = 0."""
+    mods = [ModuleSpec(ALGEBRA, 1), ModuleSpec(ALGEBRA, 2, projection=(
+        np.diag([1.0, 0.0]).astype(complex), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
+    )), ModuleSpec(ALGEBRA, 1)]
+    d0 = Morphism(mods[0], mods[1], [np.array([[1.0, 0.0]]), np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])])
+    return serial.complex_to_data(ChainComplex(mods, [d0, Morphism.zero(mods[1], mods[2])]))
+
+
+def _sample_data(count: int = 8) -> dict:
+    fiber = ModuleSpec(ALGEBRA, 1)
+    rng = np.random.default_rng(5)
+    return serial.sample_set_to_data([
+        de_rham_symbol_sample(2, fiber, rng.standard_normal(2), tag=f"s{j}") for j in range(count)
+    ])
+
+
+def _section_data() -> dict:
+    geo = TorusGeometry(1, 1, ModuleSpec(ALGEBRA, 2))
+    return serial.section_to_data(random_section(geo, 1, rng_for(3, "reader-section", 0)))
+
+
+# Per format, the first row of the broken matrix of algebra elements, as
+# (container, key); a section coefficient's value is a row of its own.
+ROWS = {
+    "complex": lambda d: (d["differentials"][0], 0),
+    "projection": lambda d: (d["modules"][1]["projection"], 0),
+    "samples": lambda d: (d["samples"][3]["maps"][1], 0),
+    "section": lambda d: (d["coeffs"][2], "value"),
+}
+BUILDERS = {
+    "complex": _complex_data,
+    "projection": _complex_data,
+    "samples": _sample_data,
+    "section": _section_data,
+}
+
+
+def _in_last_entry(edit):
+    """Apply edit to the last algebra element of the row."""
+    return lambda row, key: edit(row[key][-1])
+
+
+def _set_number(value):
+    return _in_last_entry(lambda e: e[1][1][0].__setitem__(1, value))
+
+
+def _set_pair(value):
+    return _in_last_entry(lambda e: e[1][1].__setitem__(0, value))
+
+
+CASES = {
+    "json-true": _set_number(True),
+    "numeric-string": _set_number("1.5"),
+    "nan": _set_number(float("nan")),
+    "infinity": _set_number(float("inf")),
+    "minus-infinity": _set_number(-float("inf")),
+    "1e999": _set_number(BIG_LITERAL),
+    "huge-int": _set_number(10**400),
+    "null": _set_number(None),
+    "leaf-re-only": _set_pair([0.5]),
+    "leaf-three-parts": _set_pair([0.5, 0.0, 1.0]),
+    "list-for-number": _set_number([0.5]),
+    "extra-algebra-block": _in_last_entry(lambda e: e.append(e[0])),
+    "missing-algebra-block": _in_last_entry(lambda e: e.pop()),
+    "short-block-row": _in_last_entry(lambda e: e[1][1].pop()),
+    "non-list-block-row": _in_last_entry(lambda e: e[1].__setitem__(1, 5.0)),
+    "short-matrix-row": lambda row, key: row[key].pop(),
+    "non-list-matrix-row": lambda row, key: row.__setitem__(key, {"a": 1}),
+}
+
+# The number-by-number reader's messages for each case.
+EXPECTED = {
+    ('complex', '1e999'): 'differentials[0][0][1].block1[1][0]: expected a finite number, got inf',
+    ('complex', 'extra-algebra-block'): 'differentials[0][0][1]: expected 2 algebra blocks',
+    ('complex', 'huge-int'): 'differentials[0][0][1].block1[1][0]: expected a finite number, got inf',
+    ('complex', 'infinity'): 'differentials[0][0][1].block1[1][0]: expected a finite number, got inf',
+    ('complex', 'json-true'): 'differentials[0][0][1].block1[1][0]: expected a number, got bool',
+    ('complex', 'leaf-re-only'): 'differentials[0][0][1].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('complex', 'leaf-three-parts'): 'differentials[0][0][1].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('complex', 'list-for-number'): 'differentials[0][0][1].block1[1][0]: expected a number, got list',
+    ('complex', 'minus-infinity'): 'differentials[0][0][1].block1[1][0]: expected a finite number, got -inf',
+    ('complex', 'missing-algebra-block'): 'differentials[0][0][1]: expected 2 algebra blocks',
+    ('complex', 'nan'): 'differentials[0][0][1].block1[1][0]: expected a finite number, got nan',
+    ('complex', 'non-list-block-row'): 'differentials[0][0][1].block1: row 1: expected 2 entries',
+    ('complex', 'non-list-matrix-row'): 'differentials[0]: row 0: expected 2 entries',
+    ('complex', 'null'): 'differentials[0][0][1].block1[1][0]: expected a number, got NoneType',
+    ('complex', 'numeric-string'): 'differentials[0][0][1].block1[1][0]: expected a number, got str',
+    ('complex', 'short-block-row'): 'differentials[0][0][1].block1: row 1: expected 2 entries',
+    ('complex', 'short-matrix-row'): 'differentials[0]: row 0: expected 2 entries',
+    ('projection', '1e999'): 'modules[1].projection[0][1].block1[1][0]: expected a finite number, got inf',
+    ('projection', 'extra-algebra-block'): 'modules[1].projection[0][1]: expected 2 algebra blocks',
+    ('projection', 'huge-int'): 'modules[1].projection[0][1].block1[1][0]: expected a finite number, got inf',
+    ('projection', 'infinity'): 'modules[1].projection[0][1].block1[1][0]: expected a finite number, got inf',
+    ('projection', 'json-true'): 'modules[1].projection[0][1].block1[1][0]: expected a number, got bool',
+    ('projection', 'leaf-re-only'): 'modules[1].projection[0][1].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('projection', 'leaf-three-parts'): 'modules[1].projection[0][1].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('projection', 'list-for-number'): 'modules[1].projection[0][1].block1[1][0]: expected a number, got list',
+    ('projection', 'minus-infinity'): 'modules[1].projection[0][1].block1[1][0]: expected a finite number, got -inf',
+    ('projection', 'missing-algebra-block'): 'modules[1].projection[0][1]: expected 2 algebra blocks',
+    ('projection', 'nan'): 'modules[1].projection[0][1].block1[1][0]: expected a finite number, got nan',
+    ('projection', 'non-list-block-row'): 'modules[1].projection[0][1].block1: row 1: expected 2 entries',
+    ('projection', 'non-list-matrix-row'): 'modules[1].projection: row 0: expected 2 entries',
+    ('projection', 'null'): 'modules[1].projection[0][1].block1[1][0]: expected a number, got NoneType',
+    ('projection', 'numeric-string'): 'modules[1].projection[0][1].block1[1][0]: expected a number, got str',
+    ('projection', 'short-block-row'): 'modules[1].projection[0][1].block1: row 1: expected 2 entries',
+    ('projection', 'short-matrix-row'): 'modules[1].projection: row 0: expected 2 entries',
+    ('samples', '1e999'): 'samples[3].maps[1][0][0].block1[1][0]: expected a finite number, got inf',
+    ('samples', 'extra-algebra-block'): 'samples[3].maps[1][0][0]: expected 2 algebra blocks',
+    ('samples', 'huge-int'): 'samples[3].maps[1][0][0].block1[1][0]: expected a finite number, got inf',
+    ('samples', 'infinity'): 'samples[3].maps[1][0][0].block1[1][0]: expected a finite number, got inf',
+    ('samples', 'json-true'): 'samples[3].maps[1][0][0].block1[1][0]: expected a number, got bool',
+    ('samples', 'leaf-re-only'): 'samples[3].maps[1][0][0].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('samples', 'leaf-three-parts'): 'samples[3].maps[1][0][0].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('samples', 'list-for-number'): 'samples[3].maps[1][0][0].block1[1][0]: expected a number, got list',
+    ('samples', 'minus-infinity'): 'samples[3].maps[1][0][0].block1[1][0]: expected a finite number, got -inf',
+    ('samples', 'missing-algebra-block'): 'samples[3].maps[1][0][0]: expected 2 algebra blocks',
+    ('samples', 'nan'): 'samples[3].maps[1][0][0].block1[1][0]: expected a finite number, got nan',
+    ('samples', 'non-list-block-row'): 'samples[3].maps[1][0][0].block1: row 1: expected 2 entries',
+    ('samples', 'non-list-matrix-row'): 'samples[3].maps[1]: row 0: expected 1 entries',
+    ('samples', 'null'): 'samples[3].maps[1][0][0].block1[1][0]: expected a number, got NoneType',
+    ('samples', 'numeric-string'): 'samples[3].maps[1][0][0].block1[1][0]: expected a number, got str',
+    ('samples', 'short-block-row'): 'samples[3].maps[1][0][0].block1: row 1: expected 2 entries',
+    ('samples', 'short-matrix-row'): 'samples[3].maps[1]: row 0: expected 1 entries',
+    ('section', '1e999'): 'coeffs[2].value[1].block1[1][0]: expected a finite number, got inf',
+    ('section', 'extra-algebra-block'): 'coeffs[2].value[1]: expected 2 algebra blocks',
+    ('section', 'huge-int'): 'coeffs[2].value[1].block1[1][0]: expected a finite number, got inf',
+    ('section', 'infinity'): 'coeffs[2].value[1].block1[1][0]: expected a finite number, got inf',
+    ('section', 'json-true'): 'coeffs[2].value[1].block1[1][0]: expected a number, got bool',
+    ('section', 'leaf-re-only'): 'coeffs[2].value[1].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('section', 'leaf-three-parts'): 'coeffs[2].value[1].block1[1][0]: complex numbers are two-element arrays [re, im]',
+    ('section', 'list-for-number'): 'coeffs[2].value[1].block1[1][0]: expected a number, got list',
+    ('section', 'minus-infinity'): 'coeffs[2].value[1].block1[1][0]: expected a finite number, got -inf',
+    ('section', 'missing-algebra-block'): 'coeffs[2].value[1]: expected 2 algebra blocks',
+    ('section', 'nan'): 'coeffs[2].value[1].block1[1][0]: expected a finite number, got nan',
+    ('section', 'non-list-block-row'): 'coeffs[2].value[1].block1: row 1: expected 2 entries',
+    ('section', 'non-list-matrix-row'): "coeffs[2]: 'value' must list 2 module entries",
+    ('section', 'null'): 'coeffs[2].value[1].block1[1][0]: expected a number, got NoneType',
+    ('section', 'numeric-string'): 'coeffs[2].value[1].block1[1][0]: expected a number, got str',
+    ('section', 'short-block-row'): 'coeffs[2].value[1].block1: row 1: expected 2 entries',
+    ('section', 'short-matrix-row'): "coeffs[2]: 'value' must list 2 module entries",
+    "order": "samples[2]: differentials 1 after 0 compose to norm 1.038e+01, not a complex",
+}
+
+
+def _broken_text(fmt: str, case: str) -> str:
+    data = BUILDERS[fmt]()
+    CASES[case](*ROWS[fmt](data))
+    return json.dumps(data).replace(f'"{BIG_LITERAL}"', BIG_LITERAL)
+
+
+LOADERS = {
+    "complex": serial.load_complex,
+    "projection": serial.load_complex,
+    "samples": serial.load_sample_set,
+    "section": serial.load_section,
+}
+COMMANDS = {"complex": "hodge", "projection": "check-complex", "samples": "ellipticity"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("fmt", sorted(ROWS))
+def test_reader_rejects_with_the_walkers_message(tmp_path, fmt, case, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(_broken_text(fmt, case))
+    with pytest.raises(ValidationError) as err:
+        LOADERS[fmt](str(path))
+    assert str(err.value) == EXPECTED[fmt, case]
+    if fmt in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([COMMANDS[fmt], str(path)]) == 2
+        assert EXPECTED[fmt, case] in capsys.readouterr().err
+
+
+def test_sample_set_errors_are_reported_in_file_order(tmp_path):
+    # sample 2 does not square to zero and sample 5 holds a NaN: the stacked
+    # conversion fails on the NaN, but sample 2 comes first in the file
+    data = _sample_data()
+    fibers = [serial.module_from_data(ALGEBRA, f) for f in data["fibers"]]
+    rng = rng_for(3, "reader-order", 0)
+    data["samples"][2]["maps"][1] = serial.matrix_to_data(random_morphism(fibers[1], fibers[2], rng))
+    data["samples"][5]["maps"][0][0][0][0][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as err:
+        serial.load_sample_set(str(path))
+    assert str(err.value) == EXPECTED["order"]
+    # without the NaN the stacked D D = 0 check names the same sample
+    data["samples"][5]["maps"][0][0][0][0][0][0] = [0.0, 0.0]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as err:
+        serial.load_sample_set(str(path))
+    assert str(err.value) == EXPECTED["order"]
+
+
+def _entrywise_matrix_to_data(t: Morphism) -> list:
+    """The writer as it was: one np.stack(...).tolist() per entry and block."""
+    m, n = t.source.rank, t.target.rank
+    views = [r.reshape(m, nb, n, nb) for nb, r in zip(t.algebra.block_sizes, t.mats)]
+    return [
+        [[np.stack((v[i, :, j, :].real, v[i, :, j, :].imag), axis=-1).tolist() for v in views]
+         for j in range(n)]
+        for i in range(m)
+    ]
+
+
+def _entrywise_section_values(section) -> list:
+    """The section writer as it was: each coefficient's entries one by one."""
+    geo = section.geometry
+    m = geo.form_fiber(section.degree).rank
+    values = []
+    for q in section.support(tol=0.0):
+        views = [u.reshape(nb, m, nb) for nb, u in zip(geo.algebra.block_sizes, section.coefficient(q).rows)]
+        values.append([
+            [np.stack((v[:, i, :].real, v[:, i, :].imag), axis=-1).tolist() for v in views]
+            for i in range(m)
+        ])
+    return values
+
+
+def _negated(t: Morphism) -> Morphism:
+    """-t, so that every zero of t is written as -0.0 in both parts."""
+    return Morphism(t.source, t.target, [-r for r in t.mats])
+
+
+def test_writer_output_is_byte_identical_to_the_entrywise_writer(monkeypatch):
+    # a complex with a projective module, a sample set and a section, each
+    # holding -0.0 in real and imaginary parts
+    cx = serial.complex_from_data(_complex_data())
+    cx = ChainComplex(cx.modules, [_negated(d) for d in cx.diffs])
+    samples = [
+        SymbolSample(s.tag, s.fibers, [_negated(t) for t in s.maps])
+        for s in serial.sample_set_from_data(_sample_data())
+    ]
+    geo = TorusGeometry(2, 1, ModuleSpec(ALGEBRA, 2))
+    section = random_section(geo, 1, rng_for(3, "reader-writer", 0))
+    section = TorusSection(geo, 1, [-np.where(r.real > 0, 0.0, r) for r in section.rows])
+    texts = [
+        serial.dump_json(serial.complex_to_data(cx)),
+        serial.dump_json(serial.sample_set_to_data(samples)),
+        serial.dump_json([c["value"] for c in serial.section_to_data(section)["coeffs"]]),
+    ]
+    assert all("-0.0" in t for t in texts)
+    assert serial.dump_json(_entrywise_section_values(section)) == texts[2]
+    monkeypatch.setattr(serial, "matrix_to_data", _entrywise_matrix_to_data)
+    assert serial.dump_json(serial.complex_to_data(cx)) == texts[0]
+    assert serial.dump_json(serial.sample_set_to_data(samples)) == texts[1]
+
+
+NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, -1.5e308]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _draw_matrix(data, rows: int, cols: int) -> np.ndarray:
+    """A complex matrix filled through its float view, so -0.0 keeps its sign in both parts."""
+    z = np.empty((rows, cols), dtype=complex)
+    z.view(float).reshape(-1)[:] = data.draw(st.lists(NUMBERS, min_size=2 * z.size, max_size=2 * z.size))
+    return z
+
+
+def _same_bits(a, b) -> bool:
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
+    ranks=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    count=st.integers(1, 3),
+)
+def test_round_trip_is_bitwise(data, blocks, ranks, count):
+    algebra = AlgebraSpec(blocks)
+    mods = [ModuleSpec(algebra, r) for r in ranks]
+    maps = [
+        Morphism(*mods, [_draw_matrix(data, ranks[0] * nb, ranks[1] * nb) for nb in blocks])
+        for _ in range(count)
+    ]
+    # the stacked reader reads what the number-by-number walker reads
+    for t in maps:
+        raw = json.loads(json.dumps(serial.matrix_to_data(t)))
+        want = serial._walk_matrix(algebra, raw, *ranks, "m")
+        assert _same_bits(serial.matrix_from_data(algebra, raw, *ranks, "m"), want)
+        assert _same_bits(want, t.mats)
+    # a complex, and a sample set of count one-map samples (neither has a D D = 0 pair)
+    cx = serial.complex_from_data(json.loads(serial.dump_json(serial.complex_to_data(ChainComplex(mods, maps[:1])))))
+    assert _same_bits(cx.diffs[0].mats, maps[0].mats)
+    samples = [SymbolSample(f"s{j}", mods, [t]) for j, t in enumerate(maps)]
+    loaded = serial.sample_set_from_data(json.loads(serial.dump_json(serial.sample_set_to_data(samples))))
+    for s, t in zip(loaded, maps, strict=True):
+        assert _same_bits(s.maps[0].mats, t.mats)
+    # a section whose modes are all drawn (support() skips modes that read as zero)
+    geo = TorusGeometry(1, 1, ModuleSpec(algebra, max(1, ranks[0])))
+    m = geo.form_fiber(0).rank
+    rows = [np.stack([_draw_matrix(data, nb, m * nb) for _ in range(geo.num_modes)]) for nb in blocks]
+    section = TorusSection(geo, 0, rows)
+    back = serial.section_from_data(json.loads(serial.dump_json(serial.section_to_data(section))))
+    kept = [geo.mode_index[q] for q in section.support(tol=0.0)]
+    assert _same_bits([r[kept] for r in back.rows], [r[kept] for r in rows])
+
+
+def test_svd_count_does_not_grow_with_the_samples(tmp_path, monkeypatch):
+    # loading checks D D = 0 and reads every map's singular values from one
+    # SVD per degree and block over the whole stack, and the scan reuses them
+    fiber = ModuleSpec(ALGEBRA, 1)
+    rng = np.random.default_rng(11)
+    counts = []
+    for samples in (4, 64):
+        path = tmp_path / f"samples-{samples}.json"
+        serial.save_sample_set(str(path), [
+            de_rham_symbol_sample(3, fiber, xi, tag=f"s{j}")
+            for j, xi in enumerate(rng.standard_normal((samples, 3)))
+        ])
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        cert = elliptic_scan(serial.load_sample_set(str(path)))
+        monkeypatch.undo()
+        assert cert.verdict == "elliptic"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_walker_runs_only_on_failure(tmp_path, monkeypatch):
+    texts = {
+        "complex": serial.dump_json(_complex_data()),
+        "samples": serial.dump_json(_sample_data()),
+        "section": serial.dump_json(_section_data()),
+    }
+
+    def walked(*args, **kwargs):
+        raise AssertionError("valid data went through the number-by-number walker")
+
+    walker = ["_walk_matrix", "_walk_coefficients", "_element_into", "_block_into", "_complex_from"]
+    for name in walker + ["_number"]:
+        monkeypatch.setattr(serial, name, walked)
+    for fmt, text in texts.items():
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(text)
+        LOADERS[fmt](str(path))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge import torus
@@ -458,6 +458,34 @@ def test_harmonic_dims_match_assembled_oracle(n, band, blocks, rank):
     ]
 
 
+@settings(max_examples=12, deadline=None)
+@example(n=1, band=1, blocks_and_projection=((1,), (np.diag([1.0, 0.0]),)))
+@given(
+    n=st.integers(1, 2),
+    band=st.integers(0, 1),
+    blocks_and_projection=st.sampled_from([
+        ((1,), (np.diag([1.0, 0.0]),)),
+        ((2,), (np.diag([1.0, 0.0, 0.0, 1.0]),)),
+        ((1, 2), (np.eye(2), np.diag([1.0, 1.0, 1.0, 0.0]))),
+    ]),
+)
+def test_harmonic_dims_on_projective_fiber_match_assembled_oracle(n, band, blocks_and_projection):
+    # the symbol maps must be cut down to the fiber's projection: without the
+    # cut, TorusGeometry(1, 1, rank 2 over C with projection diag(1, 0))
+    # reported harmonic dim -1 and a multiplier residual of 4 pi^2
+    blocks, projection = blocks_and_projection
+    fiber = ModuleSpec(AlgebraSpec(blocks), 2, projection=tuple(p.astype(complex) for p in projection))
+    geo = TorusGeometry(n, band, fiber)
+    cx = de_rham_complex(geo)
+    reports = harmonic_rank_report(geo)
+    dims = [cx.cohomology_report(k).harmonic_dim for k in range(n + 1)]
+    assert [rep["harmonic_dim"] for rep in reports] == dims
+    assert dims == [rep["expected_dim"] for rep in reports]
+    for rep in reports:
+        assert rep["passed"]
+        assert rep["max_multiplier_residual"] < 1e-10
+
+
 def test_harmonic_report_svd_count_does_not_grow_with_band(monkeypatch):
     svd = np.linalg.svd
     counts = []
@@ -494,6 +522,8 @@ def _report_mode_by_mode(geo, cutoff=1e-10):
         maps = [
             Morphism(fibers[k], fibers[k + 1], _scalar_mats(c, sizes)) for k, c in enumerate(coeffs)
         ]
+        # on a projective fiber each map is followed by its target's projection
+        maps = [identity_morphism(t.target) @ t if t.target.projection is not None else t for t in maps]
         cx = ChainComplex(fibers, maps)
         for k, rep in enumerate(reports):
             lap = cx.laplacian(k)
