@@ -33,12 +33,14 @@ from .torus import (
     TorusSection,
     derivative_bound_constant,
     embedding_check,
+    embedding_checks,
     fourier_norm,
     harmonic_rank_report,
     norm_equivalence_constants,
     product_norm,
     random_section,
     regularity_report,
+    regularity_reports,
     section_product,
     sobolev_product,
 )

@@ -22,6 +22,7 @@ exterior slots.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -36,10 +37,10 @@ from .module import ModuleSpec
 from .symbol import elliptic_scan
 from .torus import (
     TorusGeometry,
-    embedding_check,
+    embedding_checks,
     harmonic_rank_report,
     random_section,
-    regularity_report,
+    regularity_reports,
 )
 from .util import rng_for
 
@@ -113,6 +114,15 @@ def _section_passed(section: dict) -> bool:
     return all(c["passed"] for c in section["checks"])
 
 
+@contextlib.contextmanager
+def _at_degree(i: int):
+    """Name the degree in a linear algebra failure raised inside the block."""
+    try:
+        yield
+    except np.linalg.LinAlgError as e:
+        raise np.linalg.LinAlgError(f"degree {i}: {e}") from e
+
+
 def _finish(report: dict) -> tuple:
     passed = all(_section_passed(s) for s in report["sections"])
     report["passed"] = passed
@@ -144,7 +154,10 @@ def cmd_check_complex(args, config: RunConfig) -> tuple:
 def cmd_hodge(args, config: RunConfig) -> tuple:
     cx = serial.load_complex(args.file, tol=config.tolerance)
     degrees = [args.degree] if args.degree is not None else list(range(len(cx.modules)))
-    reps = [cx.cohomology_report(i, cutoff=config.cutoff, tol=config.tolerance) for i in degrees]
+    reps = []
+    for i in degrees:
+        with _at_degree(i):
+            reps.append(cx.cohomology_report(i, cutoff=config.cutoff, tol=config.tolerance))
     sections = []
     for i, rep in zip(degrees, reps):
         checks = _residual_checks(rep.residuals, config.tolerance)
@@ -160,7 +173,11 @@ def cmd_hodge(args, config: RunConfig) -> tuple:
         }
         sections.append({"title": f"degree {i}", "info": info, "checks": checks})
 
-    chain_map = verify_chain_map(cx, cx.parametrix_family(config.cutoff), config.tolerance)
+    family = []
+    for i in range(cx.top_degree + 1):
+        with _at_degree(i):
+            family.append(cx.parametrix(i, config.cutoff))
+    chain_map = verify_chain_map(cx, family, config.tolerance)
     cm_checks = []
     for entry in chain_map["degrees"]:
         for key, value in sorted(entry.items()):
@@ -189,13 +206,14 @@ def cmd_hodge(args, config: RunConfig) -> tuple:
 
 def cmd_parametrix(args, config: RunConfig) -> tuple:
     cx = serial.load_complex(args.file, tol=config.tolerance)
-    par = cx.parametrix(args.degree, cutoff=config.cutoff)
-    checks = _residual_checks(par.residuals(), config.tolerance)
-    info = {
-        "degree": args.degree,
-        "green_norm": par.green.norm(),
-        "projector_norm": par.projector.norm(),
-    }
+    with _at_degree(args.degree):
+        par = cx.parametrix(args.degree, cutoff=config.cutoff)
+        checks = _residual_checks(par.residuals(), config.tolerance)
+        info = {
+            "degree": args.degree,
+            "green_norm": par.green.norm(),
+            "projector_norm": par.projector.norm(),
+        }
     report = {
         "schema": serial.REPORT_SCHEMA,
         "command": "parametrix",
@@ -319,16 +337,13 @@ def _demo_embedding(geometry: TorusGeometry, args, config: RunConfig) -> dict:
     alphas = [tuple([0] * n)] + [
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     ]
-    worst = 0.0
-    failures = 0
-    for i in range(args.sections):
-        s = random_section(geometry, 0, rng_for(config.seed, "cli-embedding", i))
-        for alpha in alphas:
-            rep = embedding_check(s, t, alpha)
-            if not rep["passed"]:
-                failures += 1
-            if rep["bound"] > 0:
-                worst = max(worst, rep["sup_grid"] / rep["bound"])
+    sections = (
+        random_section(geometry, 0, rng_for(config.seed, "cli-embedding", i))
+        for i in range(args.sections)
+    )
+    reps = [rep for per_alpha in embedding_checks(geometry, 0, sections, t, alphas) for rep in per_alpha]
+    failures = sum(not rep["passed"] for rep in reps)
+    worst = max([0.0] + [rep["sup_grid"] / rep["bound"] for rep in reps if rep["bound"] > 0])
     checks = [
         _check_eq("sup |d^a s| <= C |s|_t for all sections", failures, 0),
         _check_le("worst observed sup/bound ratio", worst, 1.0),
@@ -346,18 +361,14 @@ def _demo_embedding(geometry: TorusGeometry, args, config: RunConfig) -> dict:
 
 
 def _demo_regularity(geometry: TorusGeometry, args, config: RunConfig) -> dict:
-    worst_res = 0.0
-    gain_fail = 0
-    support_fail = 0
-    gain_constant = None
-    for i in range(args.sections):
-        f = random_section(geometry, 0, rng_for(config.seed, "cli-regularity", i))
-        rep = regularity_report(geometry, 0, f, cutoff=config.cutoff)
-        worst_res = max(worst_res, rep.solve_residual)
-        gain_fail += sum(0 if g["passed"] else 1 for g in rep.gains)
-        if not (rep.supports_agree and rep.kernel_is_zero_mode):
-            support_fail += 1
-        gain_constant = rep.gain_constant
+    rhs = (
+        random_section(geometry, 0, rng_for(config.seed, "cli-regularity", i))
+        for i in range(args.sections)
+    )
+    reps = regularity_reports(geometry, 0, rhs, cutoff=config.cutoff)
+    worst_res = max([0.0] + [rep.solve_residual for rep in reps])
+    gain_fail = sum(not g["passed"] for rep in reps for g in rep.gains)
+    support_fail = sum(not (rep.supports_agree and rep.kernel_is_zero_mode) for rep in reps)
     checks = [
         _check_le("|lap u - (f - Pf)|_0 = 0", worst_res, 1e-9),
         _check_eq("|u|_{t+2} <= C |f|_t for all t", gain_fail, 0),
@@ -365,7 +376,7 @@ def _demo_regularity(geometry: TorusGeometry, args, config: RunConfig) -> dict:
     ]
     return {
         "title": "elliptic regularity",
-        "info": {"sections": args.sections, "gain_constant": gain_constant},
+        "info": {"sections": args.sections, "gain_constant": reps[-1].gain_constant},
         "checks": checks,
     }
 

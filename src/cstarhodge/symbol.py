@@ -127,6 +127,17 @@ def _scalar_mats(coeffs: np.ndarray, sizes) -> list:
     return [_kron(coeffs, np.eye(nb)) for nb in sizes]
 
 
+def _onto_target(mats: list, target: ModuleSpec) -> list:
+    """Block matrices followed by the target's projection when it is projective.
+
+    A symbol map kron(c, I) acts on the whole free module; it commutes with
+    kron(I_slots, P_b), so projecting the target cuts it down to the fibers.
+    """
+    if target.projection is None:
+        return mats
+    return [x @ p for x, p in zip(mats, target.projection)]
+
+
 def de_rham_symbol_coeffs(n: int, k: int, xi, rank: int) -> np.ndarray:
     """Scalar matrix of the degree-k de Rham symbol at xi on a fiber of that rank.
 
@@ -140,12 +151,14 @@ def de_rham_symbol_coeffs(n: int, k: int, xi, rank: int) -> np.ndarray:
 
 
 def de_rham_symbol_sample(n: int, fiber: ModuleSpec, xi, tag: Optional[str] = None) -> "SymbolSample":
-    """Symbol complex of the de Rham operator at covector xi: wedge by 2*pi*i*xi."""
+    """Symbol complex of the de Rham operator at covector xi: wedge by 2*pi*i*xi,
+    each map followed by its target fiber's projection when the fiber is projective."""
     xi = np.asarray(xi, dtype=float)
     fibers = [form_fiber(fiber, n, k) for k in range(n + 1)]
     coeffs = [de_rham_symbol_coeffs(n, k, xi, fiber.rank) for k in range(n)]
+    sizes = fiber.algebra.block_sizes
     maps = [
-        Morphism(fibers[k], fibers[k + 1], _scalar_mats(c, fiber.algebra.block_sizes))
+        Morphism(fibers[k], fibers[k + 1], _onto_target(_scalar_mats(c, sizes), fibers[k + 1]))
         for k, c in enumerate(coeffs)
     ]
     if tag is None:

@@ -36,7 +36,7 @@ from .chain import block_free_rank, laplacian_mats
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
 from .hom import block_singular_values, identity_morphism, merged_singular_values, singular_rank
 from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
-from .symbol import _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
+from .symbol import _onto_target, _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
 
 __all__ = [
     "TorusGeometry",
@@ -49,9 +49,11 @@ __all__ = [
     "norm_equivalence_constants",
     "derivative_bound_constant",
     "embedding_check",
+    "embedding_checks",
     "harmonic_rank_report",
     "laplace_solve",
     "regularity_report",
+    "regularity_reports",
     "random_section",
 ]
 
@@ -268,25 +270,19 @@ class TorusSection:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.geometry.dimension,):
             raise GeometryMismatch(f"point of shape {x.shape}")
-        phases = np.exp(2j * np.pi * (self.geometry.modes @ x))
+        phases = _phase_matrix(self.geometry, x[None])
         return ModuleVector(
-            self.geometry.form_fiber(self.degree), [v[0] for v in self._values(phases[None])]
+            self.geometry.form_fiber(self.degree), [v[0] for v in self._values(phases)]
         )
 
     def derivative(self, alpha) -> "TorusSection":
         """Spectral partial derivative: multiply mode q by prod (2 pi i q_j)^a_j."""
-        alpha = _check_multi_index(alpha, self.geometry.dimension)
-        factors = np.ones(self.geometry.num_modes, dtype=complex)
-        for j, a in enumerate(alpha):
-            if a:
-                factors *= (2j * np.pi * self.geometry.modes[:, j]) ** a
-        return self.scale_modes(factors)
+        return self.scale_modes(_derivative_factors(self.geometry, alpha))
 
     def norm_at_points(self, points: np.ndarray) -> np.ndarray:
         """Fiber norms |s(x)| at many points: one product with the phase matrix per block."""
-        points = np.asarray(points, dtype=float)
-        phases = np.exp(2j * np.pi * (points @ self.geometry.modes.T))  # (P, M)
-        return np.sqrt(_fiber_norms_sq(self._values(phases), len(points)))
+        phases = _phase_matrix(self.geometry, np.asarray(points, dtype=float))
+        return np.sqrt(_fiber_norms_sq(self._values(phases)))
 
     def __repr__(self):
         return (
@@ -294,15 +290,21 @@ class TorusSection:
         )
 
 
-def _fiber_norms_sq(stacks, count: int) -> np.ndarray:
-    """Squared fiber norms |u|^2 of count vectors given by their row matrices.
+def _phase_matrix(geometry: TorusGeometry, points: np.ndarray) -> np.ndarray:
+    """exp(2 pi i <x, q>) for every point x (rows) and mode q (columns)."""
+    return np.exp(2j * np.pi * (points @ geometry.modes.T))
 
-    stacks holds one (count, n_b, m*n_b) batch per algebra block; |u|^2 is
-    the largest eigenvalue of the fiber Gram U_b U_b* over the blocks.
+
+def _fiber_norms_sq(stacks) -> np.ndarray:
+    """Squared fiber norms |u|^2 of vectors given by their row matrices.
+
+    stacks holds one (..., n_b, m*n_b) array per algebra block, all with the
+    same leading axes; |u|^2 is the largest eigenvalue of the fiber Gram
+    U_b U_b* over the blocks, from one eigvalsh per block over the stack.
     """
-    out = np.zeros(count)
+    out = np.zeros(stacks[0].shape[:-2])
     for b in stacks:
-        lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(1, 2))[:, -1]
+        lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))[..., -1]
         out = np.maximum(out, lam)
     return np.maximum(out, 0.0)
 
@@ -314,6 +316,34 @@ def _check_multi_index(alpha, n: int) -> tuple:
     if any(a < 0 for a in alpha):
         raise ValueError("multi-index entries must be nonnegative")
     return alpha
+
+
+def _derivative_factors(geometry: TorusGeometry, alpha) -> np.ndarray:
+    """prod_j (2 pi i q_j)^a_j per mode q: the multiplier of d^alpha."""
+    alpha = _check_multi_index(alpha, geometry.dimension)
+    factors = np.ones(geometry.num_modes, dtype=complex)
+    for j, a in enumerate(alpha):
+        if a:
+            factors *= (2j * np.pi * geometry.modes[:, j]) ** a
+    return factors
+
+
+def _stacked_rows(geometry: TorusGeometry, degree: int, sections) -> list:
+    """Per block, the (sections, modes, n_b, m*n_b) stack of the sections' coefficients."""
+    for s in sections:
+        if s.geometry != geometry or s.degree != degree:
+            raise GeometryMismatch("section does not match the geometry")
+    return [np.stack(blocks) for blocks in zip(*(s.rows for s in sections))]
+
+
+def _runs(sections, per_section: int):
+    """Lists of consecutive sections whose stacks, at per_section entries
+    apiece, hold at most MAX_GRID_PHASES entries (one section when a single
+    one holds more)."""
+    it = iter(sections)
+    size = max(1, MAX_GRID_PHASES // max(1, per_section))
+    while run := list(itertools.islice(it, size)):
+        yield run
 
 
 def random_section(
@@ -372,7 +402,7 @@ def sobolev_product(s1: TorusSection, s2: TorusSection, t: float) -> AlgebraElem
 def fourier_norm(s: TorusSection, t: float) -> float:
     """Scalar norm sqrt(sum_q |c_q|^2 (1 + |q|^2)^t)."""
     w = _fourier_weights(s.geometry, t)
-    return float(np.sqrt(np.sum(w * _fiber_norms_sq(s.rows, s.geometry.num_modes))))
+    return float(np.sqrt(np.sum(w * _fiber_norms_sq(s.rows))))
 
 
 def product_norm(s: TorusSection, t: float) -> float:
@@ -513,49 +543,102 @@ def embedding_check(
     which dominates the sharp band constant, so a correct implementation
     passes for every band-limited section.  The grid may be an integer
     (points per axis) or an array of points; a finite grid can only
-    underestimate a supremum, which keeps the inequality one-sided.
+    underestimate a supremum, which keeps the inequality one-sided.  This is
+    embedding_checks on one section and one multi-index.
 
     Raises ValidationError, before listing any grid point, when grid points
     times modes exceed MAX_GRID_PHASES.
     """
-    geo = s.geometry
-    n = geo.dimension
-    alpha = _check_multi_index(alpha, n)
-    if radius is None:
-        radius = 64 * max(1, geo.band_limit)
-    constant = derivative_bound_constant(n, t, alpha, radius=radius)
+    return embedding_checks(s.geometry, s.degree, [s], t, [alpha], grid, radius)[0][0]
 
+
+def embedding_checks(
+    geometry: TorusGeometry,
+    degree: int,
+    sections,
+    t: float,
+    alphas,
+    grid=None,
+    radius: Optional[int] = None,
+) -> list:
+    """embedding_check for every section and multi-index, as one stack.
+
+    Returns, per section in order, the list of embedding_check results for
+    the multi-indices in order.  The grid, its phase matrix, the constant
+    of each multi-index and each section's fourier_norm are computed once.
+    Per block, a run of sections takes one product of its (sections,
+    multi-indices, modes) coefficient stack with the phase matrix and one
+    eigvalsh over the fiber Grams of all values.  A run holds as many
+    sections as keep its coefficient and value stacks within
+    MAX_GRID_PHASES entries per block, so memory does not grow with the
+    number of sections; sections may come from a generator and are drawn
+    one run at a time.
+
+    Each multi-index's constant is computed, and the grid size checked
+    after it, before any grid point is listed: a HypothesisViolated or
+    ValidationError comes out in the order a loop over single checks meets
+    them.
+    """
+    n = geometry.dimension
+    if radius is None:
+        radius = 64 * max(1, geometry.band_limit)
     if grid is None:
-        grid = 8 * max(1, geo.band_limit)
+        grid = 8 * max(1, geometry.band_limit)
     if np.isscalar(grid):
         count = int(grid) ** n
     else:
         pts = np.asarray(grid, dtype=float).reshape(-1, n)
         count = len(pts)
-    if count * geo.num_modes > MAX_GRID_PHASES:
-        raise ValidationError(
-            f"{count} grid points times {geo.num_modes} modes exceed the cap of "
-            f"{MAX_GRID_PHASES}"
-        )
+    checked, constants = [], []
+    for alpha in alphas:
+        checked.append(_check_multi_index(alpha, n))
+        constants.append(derivative_bound_constant(n, t, checked[-1], radius=radius))
+        if count * geometry.num_modes > MAX_GRID_PHASES:
+            raise ValidationError(
+                f"{count} grid points times {geometry.num_modes} modes exceed the cap of "
+                f"{MAX_GRID_PHASES}"
+            )
     if np.isscalar(grid):
         per_axis = np.arange(int(grid)) / float(grid)
-        pts = np.array(list(itertools.product(per_axis, repeat=n)))
+        pts = np.array(list(itertools.product(per_axis, repeat=n))).reshape(-1, n)
+    count = len(pts)
 
-    deriv = s.derivative(alpha)
-    lhs = float(deriv.norm_at_points(pts).max()) if len(pts) else 0.0
-    norm_t = fourier_norm(s, t)
-    bound = constant * norm_t
-    return {
-        "alpha": alpha,
-        "t": t,
-        "sup_grid": lhs,
-        "norm_t": norm_t,
-        "constant": constant,
-        "bound": bound,
-        "passed": lhs <= bound,
-        "grid_points": int(len(pts)),
-        "radius": int(radius),
-    }
+    phases = _phase_matrix(geometry, pts)
+    factors = np.array([_derivative_factors(geometry, a) for a in checked]).reshape(-1, geometry.num_modes)
+    weights = _fourier_weights(geometry, t)
+    # entries per section of the largest block's coefficient, value or Gram stack
+    m = max(1, geometry.form_fiber(degree).rank)
+    per_section = max(count, geometry.num_modes) * len(checked) * max(geometry.algebra.block_sizes) ** 2 * m
+    out = []
+    for run in _runs(sections, per_section):
+        stacks = _stacked_rows(geometry, degree, run)
+        norms = np.sqrt(np.sum(weights * _fiber_norms_sq(stacks), axis=-1))
+        if count:
+            # per block: (sections, alphas, modes, n_b*m*n_b) @ phases -> values at every point
+            values = [
+                (phases @ (factors[:, :, None] * b.reshape(len(run), 1, geometry.num_modes, -1)))
+                .reshape(len(run), len(checked), count, *b.shape[-2:])
+                for b in stacks
+            ]
+            sups = np.sqrt(_fiber_norms_sq(values)).max(axis=-1)
+        else:
+            sups = np.zeros((len(run), len(checked)))
+        for norm_t, sup in zip(norms.tolist(), sups.tolist()):
+            out.append([
+                {
+                    "alpha": alpha,
+                    "t": t,
+                    "sup_grid": lhs,
+                    "norm_t": norm_t,
+                    "constant": constant,
+                    "bound": constant * norm_t,
+                    "passed": lhs <= constant * norm_t,
+                    "grid_points": count,
+                    "radius": int(radius),
+                }
+                for alpha, constant, lhs in zip(checked, constants, sup)
+            ])
+    return out
 
 
 # -- Fourier multipliers -----------------------------------------------------------------
@@ -647,10 +730,8 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
         coeffs = [np.zeros((len(qs), 0, fibers[0].rank))]
         coeffs += [de_rham_symbol_coeffs(n, k, qs, r) for k in range(n + 1)]
         maps = [_scalar_mats(c, sizes) for c in coeffs]
-        for k, fib in enumerate(fibers[1:], start=1):
-            if fib.projection is not None:
-                # kron(c, I) commutes with kron(I_slots, P_b), so projecting the target suffices
-                maps[k] = [x @ p for x, p in zip(maps[k], fib.projection)]
+        # D_0 .. D_{n-1} land in fibers[1:], each cut to its target's projection
+        maps[1:-1] = [_onto_target(x, fib) for x, fib in zip(maps[1:-1], fibers[1:])]
         for k, (fib, rep) in enumerate(zip(fibers, reports)):
             lap = laplacian_mats(maps[k], maps[k + 1])
             blocks = block_singular_values(lap)
@@ -681,19 +762,23 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
 # -- elliptic regularity ----------------------------------------------------------------
 
 
+def _solve_multipliers(geometry: TorusGeometry) -> tuple:
+    """Per mode, 1 / (4 pi^2 |q|^2) off the zero mode (0 on it), and the zero mode's indicator."""
+    mult = geometry.laplacian_values
+    inv = np.zeros_like(mult)
+    nz = mult > 0.0
+    inv[nz] = 1.0 / mult[nz]
+    return inv, (~nz).astype(float)
+
+
 def laplace_solve(f: TorusSection) -> tuple:
     """Solve Laplacian u = f - P f with P the projection onto the zero mode.
 
     Returns (u, Pf); u has zero mean and coefficients f_q / (4 pi^2 |q|^2).
     Modes are integer vectors, so the zero mode is exactly |q|^2 = 0.
     """
-    mult = f.geometry.laplacian_values
-    inv = np.zeros_like(mult)
-    nz = mult > 0.0
-    inv[nz] = 1.0 / mult[nz]
-    u = f.scale_modes(inv)
-    mean = f.scale_modes((~nz).astype(float))
-    return u, mean
+    inv, zero = _solve_multipliers(f.geometry)
+    return f.scale_modes(inv), f.scale_modes(zero)
 
 
 @dataclass(frozen=True)
@@ -722,23 +807,32 @@ def regularity_report(
     fourier_norm(u, t + 2) <= C * fourier_norm(f, t) for every t.  The kernel
     of the Laplacian seen from the t-norm is computed per t as the modes
     whose normalized action 4 pi^2 |q|^2 (1+|q|^2)^{(t-2)/2} / (1+|q|^2)^{t/2}
-    vanishes; the support must be the zero mode for every t.
+    vanishes; the support must be the zero mode for every t.  This is
+    regularity_reports on one right-hand side.
     """
-    if f.geometry != geometry or f.degree != degree:
-        raise GeometryMismatch("right-hand side does not match the geometry")
-    u, mean = laplace_solve(f)
-    lap = FourierMultiplier.laplacian(geometry, degree)
-    residual = fourier_norm(lap.apply(u) - (f - mean), 0.0)
+    return regularity_reports(geometry, degree, [f], t_values, cutoff)[0]
 
+
+def regularity_reports(
+    geometry: TorusGeometry,
+    degree: int,
+    fs,
+    t_values=(-2.0, 0.0, 2.0),
+    cutoff: float = 1e-10,
+) -> list:
+    """regularity_report for every right-hand side, as one stack.
+
+    The gain constant and the kernel supports depend on the geometry only
+    and are computed once.  A run of right-hand sides is solved as one
+    (sections, modes, n_b, m*n_b) stack per block, and the fiber norms of
+    the residual, the solutions and the right-hand sides take one eigvalsh
+    per block; every t only reweights them.  A run holds as many sections
+    as keep that stack within MAX_GRID_PHASES entries per block, and the
+    sections may come from a generator.
+    """
     qsq, lam = geometry.mode_norms_sq, geometry.laplacian_values
     nz = qsq > 0
     gain_constant = float(((1.0 + qsq[nz]) / lam[nz]).max()) if nz.any() else 0.0
-
-    gains = []
-    for t in t_values:
-        lhs = fourier_norm(u, t + 2.0)
-        rhs = gain_constant * fourier_norm(f, t)
-        gains.append({"t": float(t), "norm_solution": lhs, "norm_rhs": rhs, "passed": lhs <= rhs + 1e-12 * max(1.0, rhs)})
 
     supports = {}
     for t in t_values:
@@ -755,19 +849,44 @@ def regularity_report(
     agree = all(v == values[0] for v in values)
     zero_mode = values[0] == [tuple([0] * geometry.dimension)] if values else False
 
-    passed = (
-        residual <= 1e-9
-        and all(g["passed"] for g in gains)
-        and agree
-        and zero_mode
-    )
-    return RegularityReport(
-        degree=degree,
-        solve_residual=residual,
-        gain_constant=gain_constant,
-        gains=gains,
-        kernel_supports=supports,
-        supports_agree=agree,
-        kernel_is_zero_mode=zero_mode,
-        passed=passed,
-    )
+    # complex multipliers, as FourierMultiplier and scale_modes apply them
+    inv, zero = (np.asarray(v, dtype=complex)[:, None, None] for v in _solve_multipliers(geometry))
+    lap = np.asarray(lam, dtype=complex)[:, None, None]
+    ones = _fourier_weights(geometry, 0.0)
+    solution_weights = [_fourier_weights(geometry, t + 2.0) for t in t_values]
+    rhs_weights = [_fourier_weights(geometry, t) for t in t_values]
+    m = max(1, geometry.form_fiber(degree).rank)
+    out = []
+    # entries per section of the largest block's stack of residual, solution and right-hand side
+    for run in _runs(fs, 3 * geometry.num_modes * max(geometry.algebra.block_sizes) ** 2 * m):
+        stacks = []
+        for f in _stacked_rows(geometry, degree, run):
+            u = inv * f
+            # lap u - (f - P f), u and f
+            stacks.append(np.stack([lap * u - (f - zero * f), u, f]))
+        sq = _fiber_norms_sq(stacks)
+        residuals = np.sqrt(np.sum(ones * sq[0], axis=-1))
+        solutions = [np.sqrt(np.sum(w * sq[1], axis=-1)) for w in solution_weights]
+        rhs_norms = [np.sqrt(np.sum(w * sq[2], axis=-1)) for w in rhs_weights]
+        for j, residual in enumerate(residuals.tolist()):
+            gains = []
+            for t, lhs, rhs in zip(t_values, solutions, rhs_norms):
+                lhs, rhs = float(lhs[j]), gain_constant * float(rhs[j])
+                gains.append({"t": float(t), "norm_solution": lhs, "norm_rhs": rhs, "passed": lhs <= rhs + 1e-12 * max(1.0, rhs)})
+            passed = (
+                residual <= 1e-9
+                and all(g["passed"] for g in gains)
+                and agree
+                and zero_mode
+            )
+            out.append(RegularityReport(
+                degree=degree,
+                solve_residual=residual,
+                gain_constant=gain_constant,
+                gains=gains,
+                kernel_supports={t: list(v) for t, v in supports.items()},
+                supports_agree=agree,
+                kernel_is_zero_mode=zero_mode,
+                passed=passed,
+            ))
+    return out

@@ -14,7 +14,7 @@ from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex, random_complex
 from cstarhodge.cli import main
 from cstarhodge.errors import ParseError, ValidationError
-from cstarhodge.hom import identity_morphism
+from cstarhodge.hom import Morphism, identity_morphism
 from cstarhodge.module import ModuleSpec
 from cstarhodge.symbol import de_rham_symbol_sample, random_degenerate_sample
 from cstarhodge.torus import TorusGeometry, random_section
@@ -268,6 +268,25 @@ def test_cli_maps_linalg_failure_to_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     assert run_cli(["hodge", str(path)])[0] == 2
     assert "SVD did not converge" in capsys.readouterr().err
+
+
+def test_cli_linalg_failure_names_the_degree(tmp_path, monkeypatch, capsys):
+    # ranks 1, 3, 2 with zero maps: only degree 1 has 3 x 3 matrices to decompose
+    mods = [ModuleSpec(AlgebraSpec((1,)), r) for r in (1, 3, 2)]
+    path = tmp_path / "cx.json"
+    serial.save_complex(path, ChainComplex(mods, [Morphism.zero(a, b) for a, b in zip(mods, mods[1:])]))
+    svd = np.linalg.svd
+
+    def failing_at_degree_1(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (3, 3):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_at_degree_1)
+    for cmd in (["hodge"], ["parametrix", "--degree", "1"]):
+        assert run_cli(cmd + [str(path)])[0] == 2
+        assert "numerical failure: degree 1: SVD did not converge" in capsys.readouterr().err
+    assert run_cli(["parametrix", "--degree", "2", str(path)])[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,18 @@ def test_derham_scan_verdict():
     assert abs(cert.min_spectral_margin - 4 * math.pi**2) < 1e-9
 
 
+def test_derham_scan_on_projective_fiber_is_elliptic():
+    # each symbol map must be cut down to its target fiber's projection:
+    # without the cut, kron(c, I) acts on the whole free module and the scan
+    # read outgoing nullity -1 at degree 0 and the verdict inconclusive
+    fiber = ModuleSpec(AlgebraSpec((1,)), 2, projection=(np.diag([1.0, 0.0]),))
+    cert = elliptic_scan([de_rham_symbol_sample(2, fiber, xi) for xi in np.eye(2)])
+    assert cert.verdict == "elliptic"
+    for rec in cert.records:
+        assert [d.outgoing_nullity for d in rec["degrees"]] == [0, 1, 1]
+        assert all(d.exact for d in rec["degrees"])
+
+
 def test_zero_covector_not_elliptic():
     fiber = ModuleSpec(AlgebraSpec((1,)), 1)
     cert = elliptic_scan([de_rham_symbol_sample(2, fiber, np.zeros(2), tag="zero")])

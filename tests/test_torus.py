@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 
@@ -15,6 +17,7 @@ from cstarhodge.torus import (
     TorusSection,
     derivative_bound_constant,
     embedding_check,
+    embedding_checks,
     fourier_norm,
     harmonic_rank_report,
     laplace_solve,
@@ -22,6 +25,7 @@ from cstarhodge.torus import (
     product_norm,
     random_section,
     regularity_report,
+    regularity_reports,
     section_product,
     sobolev_product,
 )
@@ -389,13 +393,17 @@ def test_embedding_grid_cap(monkeypatch):
     def no_phases(*args, **kwargs):
         raise AssertionError("phases computed before the size was checked")
 
-    monkeypatch.setattr(TorusSection, "norm_at_points", no_phases)
+    monkeypatch.setattr(torus, "_phase_matrix", no_phases)
     # default grid 24^3 points times 343 modes
     with pytest.raises(ValidationError, match="13824 grid points times 343 modes"):
         embedding_check(s, 4.0, (0, 0, 0))
     pts = np.zeros((torus.MAX_GRID_PHASES // geo.num_modes + 1, 3))
     with pytest.raises(ValidationError, match="exceed the cap"):
         embedding_check(s, 4.0, (0, 0, 0), grid=pts)
+    # the patched function is the one that builds the phases: a grid under
+    # the cap reaches it, so the guard above is not vacuous
+    with pytest.raises(AssertionError, match="phases computed"):
+        embedding_check(s, 4.0, (0, 0, 0), grid=np.zeros((2, 3)))
 
 
 def test_embedding_grid_cap_boundary(monkeypatch):
@@ -591,3 +599,156 @@ def test_harmonic_report_runs_of_modes_stay_within_budget(monkeypatch):
     assert laplacians == [4] * 3 + [4] * 3 + [1] * 3  # 9 modes in runs of 40^2 // 20^2
     assert 0 < max(sizes) <= 40**2
     _assert_same_reports(got, want)
+
+
+# -- the embedding and regularity suites as one stack --------------------------------
+
+
+def _embedding_one_by_one(s, t, alpha):
+    """embedding_check's figures from the per-section operations, one call each."""
+    constant = derivative_bound_constant(s.geometry.dimension, t, alpha, radius=64 * max(1, s.geometry.band_limit))
+    side = 8 * max(1, s.geometry.band_limit)
+    pts = np.array(list(itertools.product(np.arange(side) / float(side), repeat=s.geometry.dimension)))
+    return {
+        "sup_grid": float(s.derivative(alpha).norm_at_points(pts).max()),
+        "norm_t": fourier_norm(s, t),
+        "constant": constant,
+        "grid_points": len(pts),
+    }
+
+
+def _regularity_one_by_one(geo, f, t_values):
+    """regularity_report's figures from laplace_solve, the multiplier and fourier_norm."""
+    u, mean = laplace_solve(f)
+    residual = fourier_norm(FourierMultiplier.laplacian(geo, f.degree).apply(u) - (f - mean), 0.0)
+    qsq, lam = geo.mode_norms_sq, geo.laplacian_values
+    gain = float(((1.0 + qsq[qsq > 0]) / lam[qsq > 0]).max()) if (qsq > 0).any() else 0.0
+    norms = [(fourier_norm(u, t + 2.0), gain * fourier_norm(f, t)) for t in t_values]
+    return residual, gain, norms
+
+
+def _same_float(got, want):
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+_FIBERS = [
+    ModuleSpec(AlgebraSpec((1,)), 1),
+    ModuleSpec(AlgebraSpec((2,)), 1),
+    ModuleSpec(AlgebraSpec((2, 1)), 2),
+    ModuleSpec(AlgebraSpec((1,)), 2, projection=(np.diag([1.0, 0.0]),)),
+    ModuleSpec(AlgebraSpec((2,)), 2, projection=(np.diag([1.0, 0.0, 0.0, 1.0]),)),
+    ModuleSpec(AlgebraSpec((2, 1)), 1, projection=(np.diag([1.0, 0.0]), np.eye(1))),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    band=st.integers(0, 2),
+    fiber=st.sampled_from(_FIBERS),
+    degree=st.integers(0, 1),
+    count=st.integers(1, 5),
+    orders=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_suites_equal_section_by_section(n, band, fiber, degree, count, orders, seed):
+    # the stacked suites give, for every section and multi-index, the figures
+    # of the per-section operations and of the one-section entry points
+    geo = TorusGeometry(n, band, fiber)
+    degree = min(degree, n)
+    sections = [random_section(geo, degree, rng_for(seed, "torus-stacked", i)) for i in range(count)]
+    alphas = [tuple(min(k, 1) if j < k else 0 for j in range(n)) if k <= n else (k,) + (0,) * (n - 1) for k in orders]
+    t = n + 2.5
+    stacked = embedding_checks(geo, degree, iter(sections), t, alphas)
+    assert len(stacked) == count
+    for s, per_alpha in zip(sections, stacked):
+        assert [rep["alpha"] for rep in per_alpha] == alphas
+        for alpha, rep in zip(alphas, per_alpha):
+            assert rep == embedding_check(s, t, alpha)
+            want = _embedding_one_by_one(s, t, alpha)
+            for key, value in want.items():
+                _same_float(rep[key], value)
+            assert rep["bound"] == rep["constant"] * rep["norm_t"]
+            assert rep["passed"] == (rep["sup_grid"] <= rep["bound"])
+    t_values = (-2.0, 0.0, 2.0)
+    reports = regularity_reports(geo, degree, iter(sections), t_values)
+    assert len(reports) == count
+    for f, rep in zip(sections, reports):
+        assert rep == regularity_report(geo, degree, f, t_values)
+        residual, gain, norms = _regularity_one_by_one(geo, f, t_values)
+        _same_float(rep.solve_residual, residual)
+        assert rep.gain_constant == gain
+        for g, (lhs, rhs) in zip(rep.gains, norms):
+            _same_float(g["norm_solution"], lhs)
+            _same_float(g["norm_rhs"], rhs)
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("suite", ["embedding", "regularity"])
+def test_suite_kernel_calls_do_not_grow_with_sections(monkeypatch, suite):
+    # one phase matrix and one eigvalsh per block and stack, however many sections
+    from cstarhodge.cli import main
+
+    counts = []
+    for sections in (4, 40):
+        calls = {}
+        _count_calls(monkeypatch, np.linalg, "eigvalsh", calls)
+        _count_calls(monkeypatch, np, "exp", calls)
+        argv = ["torus-demo", "--n", "2", "--band", "1", "--fiber", "1x2,1", "--suite", suite,
+                "--sections", str(sections), "--format", "json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["eigvalsh"] == 2 * (2 if suite == "embedding" else 1)
+
+
+def _demo_report(sections, suite="all"):
+    from cstarhodge.cli import main
+
+    out = io.StringIO()
+    argv = ["torus-demo", "--n", "1", "--band", "1", "--fiber", "1x2", "--suite", suite,
+            "--sections", str(sections), "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_suite_stacks_stay_within_budget(monkeypatch):
+    # with the cap lowered the sections go in runs whose stacks each hold at
+    # most cap entries per block, or one section when a single one holds more,
+    # and the report does not change
+    want = _demo_report(7)
+    real = torus._fiber_norms_sq
+    for cap, runs in ((128, (2, 3)), (24, (1, 1))):  # 8 grid points * 3 modes = 24
+        stacks = []
+
+        def spy(arrays):
+            stacks.extend(arrays)
+            return real(arrays)
+
+        monkeypatch.setattr(torus, "_fiber_norms_sq", spy)
+        monkeypatch.setattr(torus, "MAX_GRID_PHASES", cap)
+        assert _demo_report(7) == want
+        monkeypatch.undo()
+        # per section: embedding values (2 alphas, 8 points, 2, 2), 64 entries,
+        # and coefficients (3 modes, 2, 2); regularity (3, 3 modes, 2, 2), 36
+        values = [a.shape[0] for a in stacks if a.ndim == 5 and a.shape[2:] == (8, 2, 2)]
+        coeffs = [a.shape[0] for a in stacks if a.ndim == 4]
+        solved = [a.shape[1] for a in stacks if a.ndim == 5 and a.shape[0] == 3]
+        assert len(stacks) == len(values) + len(coeffs) + len(solved)
+        for sizes, run in zip((values, solved), runs):
+            assert sum(sizes) == 7 and max(sizes) == run
+        assert coeffs == values
+        if cap == 128:
+            assert max(a.size for a in stacks) <= cap
