@@ -21,6 +21,7 @@ from .chain import (
 )
 from .symbol import (
     EllipticityCertificate,
+    SampleSet,
     SymbolSample,
     de_rham_symbol_sample,
     elliptic_scan,
@@ -53,6 +54,7 @@ from .errors import (
     IndexOutOfRange,
     NotACocycle,
     ParseError,
+    ProjectionLeak,
     SpecMismatch,
     ValidationError,
     ZeroCoefficient,

@@ -30,7 +30,7 @@ from .errors import (
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, block_singular_values, identity_morphism, random_morphism
+from .hom import Morphism, _largest_singular, identity_morphism, random_morphism
 from .module import ModuleSpec, ModuleVector, inner_product
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "laplacian_mats",
     "require_squares",
     "square_residual_values",
-    "zero_end_maps",
     "Parametrix",
     "HodgeSplit",
     "HodgeIsomorphism",
@@ -64,18 +63,6 @@ def laplacian_mats(ins, outs) -> list:
     if not terms:  # a complex of one module
         return [np.zeros(r.shape[:-2] + 2 * r.shape[-1:], dtype=complex) for r in ins]
     return [sum(t[1:], t[0]) for t in zip(*terms)]
-
-
-def zero_end_maps(modules) -> tuple:
-    """D_{-1} and D_L of a complex on these modules: zero maps through the zero module."""
-    zero = ModuleSpec(modules[0].algebra, 0)
-    return Morphism.zero(zero, modules[0]), Morphism.zero(modules[-1], zero)
-
-
-def _largest_singular(mats) -> np.ndarray:
-    """Operator norm of each map in per-block arrays (..., rows, cols), over all blocks."""
-    tops = [s[..., 0] for s in block_singular_values(mats) if s.shape[-1]]
-    return np.max(tops, axis=0) if tops else np.zeros(mats[0].shape[:-2])
 
 
 def square_residual_values(diffs, norms) -> tuple:
@@ -263,28 +250,15 @@ class ChainComplex:
         for i, diff in enumerate(differentials):
             if diff.source != modules[i] or diff.target != modules[i + 1]:
                 raise SpecMismatch(f"differential {i} does not match its modules")
-        self._setup(modules, differentials, zero_end_maps(modules))
-        self.square_residuals(tol, strict=True)
-
-    @classmethod
-    def _checked(cls, modules, differentials, ends) -> "ChainComplex":
-        """A complex whose D D = 0 check already ran on a stack holding its maps.
-
-        The maps are built over these modules, and ends are
-        zero_end_maps(modules), shared by the complexes of the stack.
-        """
-        cx = cls.__new__(cls)
-        cx._setup(list(modules), list(differentials), ends)
-        return cx
-
-    def _setup(self, modules: list, differentials: list, ends):
         self.modules = modules
         self.diffs = differentials
-        self.algebra = modules[0].algebra
+        self.algebra = algebra
         # D_{-1}, D_0, ..., D_{L-1}, D_L: zero maps through the zero module at the ends
-        self._padded = [ends[0], *differentials, ends[1]]
+        zero = ModuleSpec(algebra, 0)
+        self._padded = [Morphism.zero(zero, modules[0]), *differentials, Morphism.zero(modules[-1], zero)]
         self._laplacians: dict = {}
         self._parametrices: dict = {}
+        self.square_residuals(tol, strict=True)
 
     @property
     def top_degree(self) -> int:

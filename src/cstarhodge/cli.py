@@ -32,7 +32,7 @@ import numpy as np
 from . import serial
 from .algebra import AlgebraSpec
 from .chain import verify_chain_map
-from .errors import CStarHodgeError, ValidationError
+from .errors import CStarHodgeError, HypothesisViolated, ValidationError
 from .module import ModuleSpec
 from .symbol import elliptic_scan
 from .torus import (
@@ -341,7 +341,10 @@ def _demo_embedding(geometry: TorusGeometry, args, config: RunConfig) -> dict:
         random_section(geometry, 0, rng_for(config.seed, "cli-embedding", i))
         for i in range(args.sections)
     )
-    reps = [rep for per_alpha in embedding_checks(geometry, 0, sections, t, alphas) for rep in per_alpha]
+    try:
+        reps = [rep for per_alpha in embedding_checks(geometry, 0, sections, t, alphas) for rep in per_alpha]
+    except HypothesisViolated as e:
+        raise HypothesisViolated(f"--t {t:g}: {e}") from e
     failures = sum(not rep["passed"] for rep in reps)
     worst = max([0.0] + [rep["sup_grid"] / rep["bound"] for rep in reps if rep["bound"] > 0])
     checks = [

@@ -17,6 +17,21 @@ class NotAComplex(SpecMismatch):
         self.index = index
 
 
+class ProjectionLeak(SpecMismatch):
+    """A map leaves its projective modules: R_b differs from P_source,b R_b P_target,b.
+
+    index names the failing summand of a stack and degree its map.
+    """
+
+    def __init__(self, residual: float, index=None, degree=None):
+        super().__init__(
+            f"map leaks outside its modules' projections: R = P_source R P_target "
+            f"off by {residual:.3e} relative"
+        )
+        self.index = index
+        self.degree = degree
+
+
 class IndexOutOfRange(CStarHodgeError, IndexError):
     """Degree index lies outside the complex."""
 

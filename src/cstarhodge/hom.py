@@ -22,8 +22,11 @@ blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
 value over all blocks.  A map's singular values come from one values-only
 SVD per block, cached on the map; pseudoinverse cuts at the
 largest value of its own full SVDs, so neither result depends on which of
-the two ran first.  Maps read as one stack (stacked_morphisms) get their
-caches filled from one SVD per block over the whole stack.  The shadow
+the two ran first.  The functions on per-block arrays (..., rows, cols)
+serve a single map and a stack of equal-shape maps alike: a stack (torus
+modes, symbol samples) takes one batched SVD per block and never becomes
+Morphisms.  A map between projective modules must not leak outside them,
+R_b = P_source,b R_b P_target,b (projection_residuals).  The shadow
 (``embed``) and its pullback ``morphism_from_concrete`` stay as the
 oracles the tests check these numerics against.
 """
@@ -42,9 +45,9 @@ __all__ = [
     "identity_morphism",
     "merged_singular_values",
     "morphism_from_concrete",
+    "projection_residuals",
     "random_morphism",
     "singular_rank",
-    "stacked_morphisms",
 ]
 
 
@@ -69,6 +72,30 @@ def merged_singular_values(block_values, sizes) -> np.ndarray:
     """Shadow singular values from each block's values: n_b copies each, descending on the last axis."""
     merged = np.concatenate([np.repeat(s, nb, axis=-1) for nb, s in zip(sizes, block_values)], axis=-1)
     return -np.sort(-merged, axis=-1)
+
+
+def _largest_singular(mats) -> np.ndarray:
+    """Operator norm of each map in per-block arrays (..., rows, cols), over all blocks."""
+    tops = [s[..., 0] for s in block_singular_values(mats) if s.shape[-1]]
+    return np.max(tops, axis=0) if tops else np.zeros(mats[0].shape[:-2])
+
+
+def projection_residuals(mats, source: ModuleSpec, target: ModuleSpec, norms):
+    """||R - P_source R P_target|| / max(1, ||R||) for maps in per-block arrays (..., rows, cols).
+
+    norms holds the maps' operator norms (...).  The residual's norm is the
+    operator norm over all blocks, as in the D D = 0 check.  A free module's
+    projection is the identity, so maps between free modules give zeros
+    without any product.
+    """
+    if source.projection is None and target.projection is None:
+        return np.zeros(np.shape(norms))
+    wrapped = mats
+    if source.projection is not None:
+        wrapped = [p @ r for p, r in zip(source.projection, wrapped)]
+    if target.projection is not None:
+        wrapped = [r @ p for r, p in zip(wrapped, target.projection)]
+    return _largest_singular([r - w for r, w in zip(mats, wrapped)]) / np.maximum(1.0, norms)
 
 
 def singular_rank(svals, cutoff: float):
@@ -231,10 +258,7 @@ class Morphism:
     # -- per-block numerics ------------------------------------------------------
 
     def singular_values(self) -> np.ndarray:
-        """Singular values of the shadow, descending: each block's values n_b times.
-
-        Cached; stacked_morphisms is the only other writer of the cache.
-        """
+        """Singular values of the shadow, descending: each block's values n_b times; cached."""
         if self._svals is None:
             merged = merged_singular_values(block_singular_values(self.mats), self.algebra.block_sizes)
             self._svals = _freeze(merged)
@@ -276,33 +300,14 @@ class Morphism:
     # -- diagnostics ---------------------------------------------------------------
 
     def respects_projections(self, tol: float = 1e-9) -> bool:
-        """When source or target are projective, T must not leak outside them."""
-        restricted = self @ identity_morphism(self.source)
-        wrapped = identity_morphism(self.target) @ restricted
-        return (wrapped - restricted).norm() <= tol
+        """T = P_source T P_target within tol, relative: T does not leak outside its modules."""
+        return bool(projection_residuals(self.mats, self.source, self.target, self.norm()) <= tol)
 
     def __repr__(self):
         return (
             f"Morphism({self.source.rank} -> {self.target.rank} "
             f"over {self.algebra.block_sizes})"
         )
-
-
-def stacked_morphisms(source: ModuleSpec, target: ModuleSpec, stacks) -> tuple:
-    """One map per leading index of per-block stacks (count, rows, cols), and their singular values.
-
-    One values-only SVD per block on the whole stack gives the merged
-    values (count, k), which fill each map's singular value cache, so no
-    map runs an SVD of its own.
-    """
-    sizes = source.algebra.block_sizes
-    svals = _freeze(merged_singular_values(block_singular_values(stacks), sizes))
-    maps = []
-    for j, values in enumerate(svals):
-        t = Morphism(source, target, [r[j] for r in stacks])
-        t._svals = values
-        maps.append(t)
-    return maps, svals
 
 
 def identity_morphism(module: ModuleSpec) -> Morphism:

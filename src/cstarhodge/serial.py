@@ -16,17 +16,22 @@ one (count, rows*nb, cols*nb) array per algebra block from one array
 conversion, after each level of nesting and then every number (an int or
 a float, not a bool, finite) is checked on the whole level at once.  Only
 when that check fails does a walker go through the data number by number,
-in file order, to name the first malformed location.  A sample set's
-D D = 0 check runs on its stacks, once per pair of degrees and block, and
-a failure names the first failing sample in file order, ahead of any
-malformed number after it.  A module whose rank times the algebra
-dimension exceeds MAX_MODULE_DIM is refused before anything is allocated
-for it.  Saving writes every float in its shortest round-trip form, with
-one tolist() per block of a map, so save/load round-trips are exact.
+in file order, to name the first malformed location.  A sample set loads
+as a SampleSet straight from those stacks: its checks run on the stacks,
+and a failure names the first failing sample in file order, ahead of any
+malformed number after it.  A map that leaks outside a projective module
+(R_b != P_source,b R_b P_target,b beyond the relative tolerance D D = 0
+is held to) is refused by name, differentials[k] or samples[j].maps[k];
+maps between free modules skip that check.  A module whose rank times the
+algebra dimension exceeds MAX_MODULE_DIM is refused before anything is
+allocated for it.  Saving writes every float in its shortest round-trip
+form, with one tolist() per block of a map or of a degree's stack, so
+save/load round-trips are exact.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import chain
@@ -36,10 +41,10 @@ import numpy as np
 
 from .algebra import AlgebraSpec
 from .chain import ChainComplex
-from .errors import CStarHodgeError, NotAComplex, ParseError, ValidationError
-from .hom import Morphism, _entry_view, identity_morphism
+from .errors import CStarHodgeError, NotAComplex, ParseError, ProjectionLeak, ValidationError
+from .hom import Morphism, _entry_view, identity_morphism, projection_residuals
 from .module import MAX_MODULE_DIM, ModuleSpec, _entry_slots
-from .symbol import stacked_samples
+from .symbol import SampleSet
 from .torus import TorusGeometry, TorusSection
 
 COMPLEX_SCHEMA = "cstarhodge-complex/1"
@@ -347,6 +352,10 @@ def complex_from_data(data, tol: float = 1e-9) -> ChainComplex:
                 algebra, d, modules[i].rank, modules[i + 1].rank, where
             )
             diffs.append(Morphism(modules[i], modules[i + 1], mats))
+    for i, d in enumerate(diffs):
+        leak = float(projection_residuals(d.mats, d.source, d.target, d.norm()))
+        if leak > tol:
+            _fail(f"differentials[{i}]", str(ProjectionLeak(leak)))
     try:
         return ChainComplex(modules, diffs, tol=tol)
     except CStarHodgeError as e:
@@ -357,30 +366,26 @@ def complex_from_data(data, tol: float = 1e-9) -> ChainComplex:
 
 
 def sample_set_to_data(samples) -> dict:
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("sample set: nothing to save")
-    fibers = samples[0].fibers
-    algebra = fibers[0].algebra
-    for s in samples:
-        if list(s.fibers) != list(fibers):
-            raise ValidationError("sample set: samples disagree on the fiber sequence")
+    """A SampleSet, or SymbolSamples sharing their fibers, as sample set data."""
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet.of(samples)
+    fibers = samples.fibers
+    sizes = fibers[0].algebra.block_sizes
+    per_degree = [_stacks_to_data(st, a.rank, b.rank, sizes) for st, a, b in zip(samples.maps, fibers, fibers[1:])]
     return {
         "schema": SAMPLES_SCHEMA,
-        "algebra": algebra_to_data(algebra),
+        "algebra": algebra_to_data(fibers[0].algebra),
         "fibers": [module_to_data(m) for m in fibers],
-        "samples": [
-            {"tag": s.tag, "maps": [matrix_to_data(t) for t in s.maps]}
-            for s in samples
-        ],
+        "samples": [{"tag": tag, "maps": list(maps)} for tag, *maps in zip(samples.tags, *per_degree)],
     }
 
 
-def sample_set_from_data(data, tol: float = 1e-9) -> list:
-    """Samples read as one stack per degree and block, D D = 0 checked on the stacks.
+def sample_set_from_data(data, tol: float = 1e-9) -> SampleSet:
+    """The SampleSet of the samples' maps, read as one stack per degree and block.
 
-    A malformed sample or a sample whose maps do not compose to zero is
-    reported at the first such sample in file order.
+    A malformed sample, a map leaking outside a projective fiber or a sample
+    whose maps do not compose to zero is reported at the first such sample
+    in file order.
     """
     algebra = algebra_from_data(_get(data, "algebra", "samples"))
     raw_fibers = _get(data, "fibers", "samples")
@@ -424,14 +429,16 @@ def sample_set_from_data(data, tol: float = 1e-9) -> list:
             except ValidationError as e:
                 error = e
                 break
-        if not mats:
-            raise error
         tags = tags[: len(mats)]
         stacks = [[np.stack(b) for b in zip(*(m[k] for m in mats))] for k in range(len(shapes))]
+    if not tags:
+        raise error
     try:
-        samples = stacked_samples(tags, fibers, stacks, tol=tol)
+        samples = SampleSet(tags, fibers, stacks, tol=tol)
     except NotAComplex as e:
         _fail(f"samples[{e.index}]", str(e))
+    except ProjectionLeak as e:
+        _fail(f"samples[{e.index}].maps[{e.degree}]", str(e))
     if error is not None:
         raise error
     return samples
@@ -556,10 +563,16 @@ def load_json(path: str):
             text = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from e
+    # the parsed tree holds no cycles, so collector passes during the parse find nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from e
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _save(path: str, data):
@@ -579,7 +592,7 @@ def save_sample_set(path: str, samples):
     _save(path, sample_set_to_data(samples))
 
 
-def load_sample_set(path: str, tol: float = 1e-9) -> list:
+def load_sample_set(path: str, tol: float = 1e-9) -> SampleSet:
     return sample_set_from_data(load_json(path), tol=tol)
 
 

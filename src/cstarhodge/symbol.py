@@ -1,8 +1,11 @@
 """Symbol sequences and pointwise ellipticity certificates.
 
 A symbol sample is a finite complex of module maps over the algebra,
-recorded at one covector (the tag says which).  For each degree the scan
-decides exactness of the sample by rank arithmetic, forms the symbol
+recorded at one covector (the tag says which).  Samples that share their
+fibers form a SampleSet, a direct sum held as one (samples, rows, cols)
+stack per degree and algebra block; the scan runs on sets and never
+takes a stack apart into per-sample maps.  For each degree the scan
+decides exactness of every sample by rank arithmetic, forms the symbol
 Laplacian
 
     S_i = s_{i-1} s_{i-1}* + s_i* s_i
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, _freeze
 from .chain import (
     ChainComplex,
     _pick_algebra,
@@ -35,21 +38,27 @@ from .chain import (
     random_unitary_morphism,
     require_squares,
     square_residual_values,
-    zero_end_maps,
 )
-from .errors import EmptySampleSet, IndexOutOfRange, ZeroCoefficient
+from .errors import (
+    DegreeMismatch,
+    EmptySampleSet,
+    IndexOutOfRange,
+    ProjectionLeak,
+    SpecMismatch,
+    ZeroCoefficient,
+)
 from .hom import (
     Morphism,
     block_singular_values,
     merged_singular_values,
+    projection_residuals,
     singular_rank,
-    stacked_morphisms,
 )
 from .module import ModuleSpec
 
 __all__ = [
     "SymbolSample",
-    "stacked_samples",
+    "SampleSet",
     "ExactnessResult",
     "EllipticityCertificate",
     "exactness_check",
@@ -172,16 +181,9 @@ def de_rham_symbol_sample(n: int, fiber: ModuleSpec, xi, tag: Optional[str] = No
 class SymbolSample:
     """One covector's symbol sequence, stored as a chain complex."""
 
-    def __init__(self, tag: str, fibers, maps, tol: float = 1e-9):
+    def __init__(self, tag: str, fibers, maps):
         self.tag = str(tag)
-        self.chain = ChainComplex(list(fibers), list(maps), tol=tol)
-
-    @classmethod
-    def _of_chain(cls, tag: str, chain: ChainComplex) -> "SymbolSample":
-        sample = cls.__new__(cls)
-        sample.tag = str(tag)
-        sample.chain = chain
-        return sample
+        self.chain = ChainComplex(list(fibers), list(maps))
 
     @property
     def fibers(self):
@@ -200,25 +202,57 @@ class SymbolSample:
         return f"SymbolSample({self.tag!r}, ranks={ranks})"
 
 
-def stacked_samples(tags, fibers, stacks, tol: float = 1e-9) -> list:
-    """One SymbolSample per tag, from each degree's maps over all samples stacked per block.
+class SampleSet:
+    """Symbol samples sharing one fiber sequence, each degree's maps stacked per block.
 
-    stacks[k] holds the degree-k maps as one (samples, rows, cols) array per
-    algebra block.  Per degree and block one values-only SVD over the stack
-    fills every map's singular value cache, and D D = 0 is checked once on
-    the stacks, one batched product and SVD per pair of degrees and block;
-    NotAComplex.index names the first failing sample.  The samples' complexes
-    are not checked again.
+    maps[k] holds the degree-k maps as one read-only (samples, rows*nb,
+    cols*nb) array per algebra block, svals[k] their merged singular values
+    (samples, values) from one values-only SVD per block.  The constructor
+    checks the shapes, then on the stacks, with relative residuals against
+    tol, that no map leaks outside a projective fiber (R_b = P_source,b R_b
+    P_target,b) and D D = 0.  The error names the first failing sample
+    (ProjectionLeak.index with the map's degree, NotAComplex.index).
     """
-    fibers = list(fibers)
-    built = [stacked_morphisms(fibers[k], fibers[k + 1], st) for k, st in enumerate(stacks)]
-    norms = [s[:, 0] if s.shape[-1] else np.zeros(len(tags)) for _, s in built]
-    require_squares(*square_residual_values(stacks, norms), tol)
-    ends = zero_end_maps(fibers)
-    return [
-        SymbolSample._of_chain(tag, ChainComplex._checked(fibers, [m[j] for m, _ in built], ends))
-        for j, tag in enumerate(tags)
-    ]
+
+    def __init__(self, tags, fibers, maps, tol: float = 1e-9):
+        self.tags, self.fibers = [str(t) for t in tags], list(fibers)
+        if not self.tags:
+            raise EmptySampleSet("no symbol samples")
+        if len(maps) != len(self.fibers) - 1:
+            raise DegreeMismatch(f"{len(self.fibers)} fibers need {len(self.fibers) - 1} maps, got {len(maps)}")
+        count, sizes = len(self.tags), self.fibers[0].algebra.block_sizes
+        self.maps = [[_freeze(np.asarray(r, dtype=complex).view()) for r in st] for st in maps]
+        for k, st in enumerate(self.maps):
+            want = [(count, self.fibers[k].rank * nb, self.fibers[k + 1].rank * nb) for nb in sizes]
+            if [r.shape for r in st] != want:
+                raise SpecMismatch(f"degree {k} maps of shapes {[r.shape for r in st]}, expected {want}")
+        self.svals = [_freeze(merged_singular_values(block_singular_values(st), sizes)) for st in self.maps]
+        norms = [s[:, 0] if s.shape[-1] else np.zeros(count) for s in self.svals]
+        leaks = np.reshape([
+            projection_residuals(st, a, b, n)
+            for st, a, b, n in zip(self.maps, self.fibers, self.fibers[1:], norms)
+        ], (len(self.maps), count))
+        leaking = (leaks > tol).any(axis=0)
+        # D D = 0 is checked on the samples ahead of the first leak, so errors come in sample order
+        first = int(np.argmax(leaking)) if leaking.any() else count
+        require_squares(*([r[:first] for r in v] for v in square_residual_values(self.maps, norms)), tol)
+        if first < count:
+            k = int(np.argmax(leaks[:, first] > tol))
+            raise ProjectionLeak(leaks[k, first], index=first, degree=k)
+
+    @classmethod
+    def of(cls, samples) -> "SampleSet":
+        """The set of these SymbolSamples, which must share their fibers."""
+        samples = list(samples)
+        if not samples:
+            raise EmptySampleSet("no symbol samples")
+        if any(s.fibers != samples[0].fibers for s in samples[1:]):
+            raise SpecMismatch("samples disagree on the fiber sequence")
+        maps = [[np.stack(b) for b in zip(*(t.mats for t in ts))] for ts in zip(*(s.maps for s in samples))]
+        return cls([s.tag for s in samples], samples[0].fibers, maps)
+
+    def __len__(self) -> int:
+        return len(self.tags)
 
 
 @dataclass(frozen=True)
@@ -247,26 +281,27 @@ def symbol_laplacian(sample: SymbolSample, i: int) -> Morphism:
     return sample.chain.laplacian(i)
 
 
-def _exactness_rows(samples, degrees, cutoff: float) -> list:
-    """Per sample, its ExactnessResults at the given degrees; the samples share their fibers.
+def _exactness_rows(samples: SampleSet, degrees, cutoff: float) -> list:
+    """Per sample of the set, its ExactnessResults at the given degrees.
 
-    The maps' ranks read each map's cached singular values (stacked_samples
-    fills them from one SVD per degree and block, and a complex of two or
-    more maps fills them in its D D = 0 check); the Laplacians are stacked
-    per block over the samples, one SVD per block.
+    The maps' ranks are cut on the set's singular values; each degree's
+    Laplacians are formed on the stacks, one SVD per block.
     """
-    fibers = samples[0].fibers
+    fibers, count = samples.fibers, len(samples)
     sizes = fibers[0].algebra.block_sizes
-    maps, cuts = {}, {}
-    for j in {j for i in degrees for j in (i - 1, i)}:
-        diffs = [s.chain.differential(j) for s in samples]
-        maps[j] = [np.stack(b) for b in zip(*(d.mats for d in diffs))]
-        cuts[j] = singular_rank(np.stack([d.singular_values() for d in diffs]), cutoff)
+    # D_{-1} and D_L: maps through the zero module, with no singular values
+    maps = [
+        [np.zeros((count, 0, fibers[0].rank * nb)) for nb in sizes],
+        *samples.maps,
+        [np.zeros((count, fibers[-1].rank * nb, 0)) for nb in sizes],
+    ]
+    no_values = np.zeros((count, 0))
+    cuts = [singular_rank(s, cutoff) for s in (no_values, *samples.svals, no_values)]
     columns = []
     for i in degrees:
-        (rank_in, margin_in), (rank_out, margin_out) = cuts[i - 1], cuts[i]
+        (rank_in, margin_in), (rank_out, margin_out) = cuts[i], cuts[i + 1]
         dim = fibers[i].concrete_dim
-        lap = merged_singular_values(block_singular_values(laplacian_mats(maps[i - 1], maps[i])), sizes)
+        lap = merged_singular_values(block_singular_values(laplacian_mats(maps[i], maps[i + 1])), sizes)
         values = zip(
             rank_in, dim - rank_out, np.minimum(margin_in, margin_out),
             *_restricted_min_singular(lap, dim),
@@ -289,11 +324,11 @@ def exactness_check(sample: SymbolSample, i: int, cutoff: float = 1e-10) -> Exac
     mean the decision is fragile); spectral_margin is the smallest singular
     value of the symbol Laplacian on the module, which is positive exactly
     when the sample is exact at this degree.  This is elliptic_scan's stacked
-    computation on a stack of one sample.
+    computation on the set of one sample.
     """
     if not 0 <= i <= sample.top_degree:
         raise IndexOutOfRange(f"degree {i} outside 0..{sample.top_degree}")
-    return _exactness_rows([sample], [i], cutoff)[0][0]
+    return _exactness_rows(SampleSet.of([sample]), [i], cutoff)[0][0]
 
 
 def weighted_symbol_laplacian_check(
@@ -340,32 +375,34 @@ class EllipticityCertificate:
 def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
     """Aggregate exactness over a sample set into one verdict.
 
+    samples is a SampleSet, or SymbolSamples that are grouped by fibers into
+    sets (SampleSet.of); the records keep the input order.
     elliptic: every degree of every sample exact, all margins decisive.
     not-elliptic: some degree decisively non-exact.
     inconclusive: a rank decision or an invertibility margin sits within a
     factor 10 of the cutoff, so the verdict would not survive a perturbation.
     """
-    samples = list(samples)
-    if not samples:
-        raise EmptySampleSet("no symbol samples to scan")
-    groups: dict = {}
-    for index, sample in enumerate(samples):
-        groups.setdefault(tuple(sample.fibers), []).append(index)
-    all_degrees = [None] * len(samples)
-    for indices in groups.values():
-        group = [samples[j] for j in indices]
-        for j, row in zip(indices, _exactness_rows(group, range(group[0].top_degree + 1), cutoff)):
-            all_degrees[j] = row
+    if isinstance(samples, SampleSet):
+        sets = [(samples, range(len(samples)))]
+    else:
+        samples = list(samples)
+        if not samples:
+            raise EmptySampleSet("no symbol samples to scan")
+        groups: dict = {}
+        for j, sample in enumerate(samples):
+            groups.setdefault(tuple(sample.fibers), []).append(j)
+        sets = [(SampleSet.of(samples[j] for j in idx), idx) for idx in groups.values()]
+    records = [None] * sum(len(idx) for _, idx in sets)
+    for sset, idx in sets:
+        for j, tag, degrees in zip(idx, sset.tags, _exactness_rows(sset, range(len(sset.fibers)), cutoff)):
+            records[j] = {"tag": tag, "degrees": degrees}
 
     min_spectral = float("inf")
     min_decision = float("inf")
     any_nonexact = False
     fragile = False
-    records = []
-    for sample, degrees in zip(samples, all_degrees):
-        rec = {"tag": sample.tag, "degrees": degrees}
-        records.append(rec)
-        for r in degrees:
+    for rec in records:
+        for r in rec["degrees"]:
             min_decision = min(min_decision, r.decision_margin)
             if r.spectral_scale > 0:
                 rel = r.spectral_margin / (cutoff * r.spectral_scale)
@@ -388,7 +425,7 @@ def elliptic_scan(samples, cutoff: float = 1e-10) -> EllipticityCertificate:
     verdict = "inconclusive" if fragile else "not-elliptic" if any_nonexact else "elliptic"
     return EllipticityCertificate(
         verdict=verdict,
-        samples=len(samples),
+        samples=len(records),
         min_spectral_margin=min_spectral,
         min_decision_margin=min_decision,
         cutoff=cutoff,

@@ -391,7 +391,8 @@ def _sobolev_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
 
 
 def _fourier_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
-    return (1.0 + geometry.mode_norms_sq) ** t
+    with np.errstate(over="ignore"):  # an overflow reads inf, which embedding_checks refuses
+        return (1.0 + geometry.mode_norms_sq) ** t
 
 
 def sobolev_product(s1: TorusSection, s2: TorusSection, t: float) -> AlgebraElement:
@@ -473,7 +474,8 @@ def _lattice_sum(n: int, t: float, a: int, radius: int) -> float:
         top += step
     s = np.flatnonzero(counts)
     sf = s.astype(float)
-    return float(np.sum(counts[s] * (sf**a / (1.0 + sf) ** t)))
+    with np.errstate(over="ignore"):  # a denominator overflowing to inf makes its term 0
+        return float(np.sum(counts[s] * (sf**a / (1.0 + sf) ** t)))
 
 
 def _tail_bound(n: int, t: float, a: int, radius: int) -> float:
@@ -577,7 +579,9 @@ def embedding_checks(
     Each multi-index's constant is computed, and the grid size checked
     after it, before any grid point is listed: a HypothesisViolated or
     ValidationError comes out in the order a loop over single checks meets
-    them.
+    them.  A t so large that a constant underflows to 0 or overflows, or
+    that the Fourier weights overflow, raises HypothesisViolated there too:
+    the bound would read 0 * inf.
     """
     n = geometry.dimension
     if radius is None:
@@ -589,10 +593,16 @@ def embedding_checks(
     else:
         pts = np.asarray(grid, dtype=float).reshape(-1, n)
         count = len(pts)
+    weights = _fourier_weights(geometry, t)
     checked, constants = [], []
     for alpha in alphas:
         checked.append(_check_multi_index(alpha, n))
         constants.append(derivative_bound_constant(n, t, checked[-1], radius=radius))
+        if not 0.0 < constants[-1] < math.inf or not np.isfinite(weights).all():
+            raise HypothesisViolated(
+                f"Sobolev index {t:g} leaves the floating-point range: constant "
+                f"{constants[-1]:g} for alpha {checked[-1]}, largest Fourier weight {weights.max():g}"
+            )
         if count * geometry.num_modes > MAX_GRID_PHASES:
             raise ValidationError(
                 f"{count} grid points times {geometry.num_modes} modes exceed the cap of "
@@ -605,7 +615,6 @@ def embedding_checks(
 
     phases = _phase_matrix(geometry, pts)
     factors = np.array([_derivative_factors(geometry, a) for a in checked]).reshape(-1, geometry.num_modes)
-    weights = _fourier_weights(geometry, t)
     # entries per section of the largest block's coefficient, value or Gram stack
     m = max(1, geometry.form_fiber(degree).rank)
     per_section = max(count, geometry.num_modes) * len(checked) * max(geometry.algebra.block_sizes) ** 2 * m
@@ -662,10 +671,6 @@ class FourierMultiplier:
     @classmethod
     def laplacian(cls, geometry: TorusGeometry, degree: int) -> "FourierMultiplier":
         return cls(geometry, degree, geometry.laplacian_values)
-
-    @classmethod
-    def sobolev_weight(cls, geometry: TorusGeometry, degree: int, t: float) -> "FourierMultiplier":
-        return cls(geometry, degree, _sobolev_weights(geometry, t))
 
     def apply(self, s: TorusSection) -> TorusSection:
         if s.geometry != self.geometry or s.degree != self.degree:

@@ -216,6 +216,19 @@ def test_projective_morphism_respects_projection():
     assert t.respects_projections()
 
 
+def test_respects_projections_checks_both_sides():
+    # a map leaking on the source side only, or on the target side only
+    alg = AlgebraSpec((1,))
+    proj = ModuleSpec(alg, 2, projection=(np.diag([1.0, 0.0]),))
+    free = ModuleSpec(alg, 1)
+    assert not Morphism(proj, free, [np.array([[0.0], [1.0]])]).respects_projections()
+    assert not Morphism(free, proj, [np.array([[0.0, 1.0]])]).respects_projections()
+    assert Morphism(free, proj, [np.array([[1.0, 0.0]])]).respects_projections()
+    # relative to the map's norm: a leak of 1e-10 of a map of norm 100 passes at 1e-9
+    assert Morphism(free, proj, [np.array([[100.0, 1e-8]])]).respects_projections(1e-9)
+    assert not Morphism(free, proj, [np.array([[100.0, 1e-6]])]).respects_projections(1e-9)
+
+
 # -- per-block numerics against the dense shadow --------------------------------------
 
 ORACLE_ALGEBRAS = [(1,), (2,), (1, 2), (2, 2), (3,)]

@@ -68,10 +68,10 @@ def test_sample_set_roundtrip(tmp_path):
     path = tmp_path / "samples.json"
     serial.save_sample_set(path, samples)
     loaded = serial.load_sample_set(path)
-    assert [s.tag for s in loaded] == ["xi0", "xi1"]
-    for a, b in zip(samples, loaded):
-        for m1, m2 in zip(a.maps, b.maps):
-            assert (m1 - m2).norm() < 1e-15
+    assert loaded.tags == ["xi0", "xi1"]
+    for j, a in enumerate(samples):
+        for m1, stack in zip(a.maps, loaded.maps, strict=True):
+            assert max(np.linalg.norm(r - st[j], 2) for r, st in zip(m1.mats, stack)) < 1e-15
 
 
 def test_section_roundtrip(tmp_path):
@@ -427,3 +427,64 @@ def test_dump_json_numpy_scalars_match_builtins():
     assert serial.dump_json(as_numpy) == serial.dump_json(as_builtins)
     with pytest.raises(TypeError):
         serial.dump_json({"array": np.zeros(2)})
+
+
+def _leaking_files(tmp_path, row):
+    """A complex file and a sample set file with one map C -> P C^2, P = diag(1, 0), given by row."""
+    alg = AlgebraSpec((1,))
+    algebra = serial.algebra_to_data(alg)
+    fibers = [{"rank": 1}, serial.module_to_data(ModuleSpec(alg, 2, projection=(np.diag([1.0, 0.0]),)))]
+    matrix = [[[[[[x, 0.0]]]] for x in row]]
+    cx, samples = tmp_path / "complex.json", tmp_path / "samples.json"
+    cx.write_text(json.dumps({"algebra": algebra, "modules": fibers, "differentials": [matrix]}))
+    samples.write_text(json.dumps(
+        {"algebra": algebra, "fibers": fibers, "samples": [{"tag": "xi", "maps": [matrix]}]}
+    ))
+    return str(cx), str(samples)
+
+
+def test_maps_leaking_outside_a_projection_are_refused(tmp_path, capsys):
+    # the row [0, 1] is zero as a module map: it lies outside the target's
+    # projection, and read as it stands it gave a wrong verdict (elliptic,
+    # and harmonic dims [0, 0] with failed identities)
+    cx, samples = _leaking_files(tmp_path, [0.0, 1.0])
+    for argv, where in (
+        (["hodge", cx], "differentials[0]: map leaks outside"),
+        (["check-complex", cx], "differentials[0]: map leaks outside"),
+        (["ellipticity", samples], "samples[0].maps[0]: map leaks outside"),
+    ):
+        assert run_cli(argv)[0] == 2
+        assert where in capsys.readouterr().err
+    # the compressed map [0, 0] is the same module map, read correctly
+    cx, samples = _leaking_files(tmp_path, [0.0, 0.0])
+    code, out = run_cli(["hodge", cx, "--format", "json"])
+    assert code == 0 and json.loads(out)["harmonic_dims"] == [1, 1]
+    code, out = run_cli(["ellipticity", samples, "--format", "json"])
+    assert code == 1 and json.loads(out)["verdict"] == "not-elliptic"
+
+
+def test_leak_is_relative_to_the_tolerance(tmp_path, capsys):
+    # a leak of 1e-9 relative to the map's norm passes at --tol 1e-8 and fails at 1e-10
+    cx, samples = _leaking_files(tmp_path, [1.0, 1e-9])
+    for argv in (["hodge", cx], ["ellipticity", samples]):
+        assert run_cli(argv + ["--tol", "1e-8"])[0] in (0, 1)
+        assert run_cli(argv + ["--tol", "1e-10", "--cutoff", "1e-12"])[0] == 2
+        assert "map leaks outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["2000", "1e308"])
+def test_cli_torus_demo_refuses_a_t_out_of_float_range(t, capsys, monkeypatch):
+    # the Fourier weights overflow to inf and the first-order constant
+    # underflows to 0, so the bound would read 0 * inf = nan
+    from cstarhodge import torus
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid points listed before t was validated")
+
+    monkeypatch.setattr(torus, "_phase_matrix", no_grid)
+    argv = ["torus-demo", "--n", "1", "--band", "1", "--fiber", "1x1", "--suite", "embedding"]
+    assert run_cli(argv + ["--t", t])[0] == 2
+    err = capsys.readouterr().err
+    assert f"--t {float(t):g}" in err and "floating-point range" in err
+    monkeypatch.undo()
+    assert run_cli(argv + ["--t", "600"])[0] == 0

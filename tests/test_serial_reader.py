@@ -19,10 +19,10 @@ from cstarhodge import serial
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex
 from cstarhodge.cli import main
-from cstarhodge.errors import ValidationError
+from cstarhodge.errors import ParseError, ValidationError
 from cstarhodge.hom import Morphism, random_morphism
 from cstarhodge.module import ModuleSpec
-from cstarhodge.symbol import SymbolSample, de_rham_symbol_sample, elliptic_scan
+from cstarhodge.symbol import SampleSet, SymbolSample, de_rham_symbol_sample, elliptic_scan
 from cstarhodge.torus import TorusGeometry, TorusSection, random_section
 from cstarhodge.util import rng_for
 
@@ -260,10 +260,8 @@ def test_writer_output_is_byte_identical_to_the_entrywise_writer(monkeypatch):
     # holding -0.0 in real and imaginary parts
     cx = serial.complex_from_data(_complex_data())
     cx = ChainComplex(cx.modules, [_negated(d) for d in cx.diffs])
-    samples = [
-        SymbolSample(s.tag, s.fibers, [_negated(t) for t in s.maps])
-        for s in serial.sample_set_from_data(_sample_data())
-    ]
+    loaded = serial.sample_set_from_data(_sample_data())
+    samples = SampleSet(loaded.tags, loaded.fibers, [[-r for r in st] for st in loaded.maps])
     geo = TorusGeometry(2, 1, ModuleSpec(ALGEBRA, 2))
     section = random_section(geo, 1, rng_for(3, "reader-writer", 0))
     section = TorusSection(geo, 1, [-np.where(r.real > 0, 0.0, r) for r in section.rows])
@@ -276,7 +274,15 @@ def test_writer_output_is_byte_identical_to_the_entrywise_writer(monkeypatch):
     assert serial.dump_json(_entrywise_section_values(section)) == texts[2]
     monkeypatch.setattr(serial, "matrix_to_data", _entrywise_matrix_to_data)
     assert serial.dump_json(serial.complex_to_data(cx)) == texts[0]
-    assert serial.dump_json(serial.sample_set_to_data(samples)) == texts[1]
+    fibers = samples.fibers
+    entrywise = [
+        {"tag": tag, "maps": [
+            _entrywise_matrix_to_data(Morphism(a, b, [r[j] for r in st]))
+            for st, a, b in zip(samples.maps, fibers, fibers[1:])
+        ]}
+        for j, tag in enumerate(samples.tags)
+    ]
+    assert serial.dump_json(dict(serial.sample_set_to_data(samples), samples=entrywise)) == texts[1]
 
 
 NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, -1.5e308]) | st.floats(allow_nan=False, allow_infinity=False)
@@ -318,8 +324,9 @@ def test_round_trip_is_bitwise(data, blocks, ranks, count):
     assert _same_bits(cx.diffs[0].mats, maps[0].mats)
     samples = [SymbolSample(f"s{j}", mods, [t]) for j, t in enumerate(maps)]
     loaded = serial.sample_set_from_data(json.loads(serial.dump_json(serial.sample_set_to_data(samples))))
-    for s, t in zip(loaded, maps, strict=True):
-        assert _same_bits(s.maps[0].mats, t.mats)
+    assert loaded.tags == [s.tag for s in samples]
+    for j, t in enumerate(maps):
+        assert _same_bits([st[j] for st in loaded.maps[0]], t.mats)
     # a section whose modes are all drawn (support() skips modes that read as zero)
     geo = TorusGeometry(1, 1, ModuleSpec(algebra, max(1, ranks[0])))
     m = geo.form_fiber(0).rank
@@ -374,3 +381,57 @@ def test_walker_runs_only_on_failure(tmp_path, monkeypatch):
         path = tmp_path / f"{fmt}.json"
         path.write_text(text)
         LOADERS[fmt](str(path))
+
+
+def test_loading_and_scanning_builds_no_morphism(tmp_path, monkeypatch):
+    # a sample set goes from the file to the verdict as stacks: no map of a
+    # single sample is ever built, whatever the number of samples
+    fiber = ModuleSpec(ALGEBRA, 1)
+    rng = np.random.default_rng(13)
+    init = Morphism.__init__
+    for samples in (4, 64):
+        path = tmp_path / f"samples-{samples}.json"
+        serial.save_sample_set(str(path), [
+            de_rham_symbol_sample(3, fiber, xi, tag=f"s{j}")
+            for j, xi in enumerate(rng.standard_normal((samples, 3)))
+        ])
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Morphism, "__init__", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ellipticity", str(path)]) == 0
+        monkeypatch.undo()
+        assert calls == []
+
+
+def test_load_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch):
+    import gc
+
+    path = tmp_path / "data.json"
+    path.write_text("[1, 2]")
+    seen = []
+    loads = json.loads
+
+    def spy(text):
+        seen.append(gc.isenabled())
+        return loads(text)
+
+    monkeypatch.setattr(json, "loads", spy)
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            assert serial.load_json(str(path)) == [1, 2]
+            assert gc.isenabled() is state
+            path.write_text("[1,")
+            with pytest.raises(ParseError):
+                serial.load_json(str(path))
+            assert gc.isenabled() is state
+            path.write_text("[1, 2]")
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert seen == [False] * 4

@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstarhodge.algebra import AlgebraSpec
-from cstarhodge.errors import EmptySampleSet, ZeroCoefficient
+from cstarhodge.errors import (
+    DegreeMismatch,
+    EmptySampleSet,
+    NotAComplex,
+    ProjectionLeak,
+    SpecMismatch,
+    ZeroCoefficient,
+)
 from cstarhodge.module import ModuleSpec
 from cstarhodge import symbol
 from cstarhodge.symbol import (
     ExactnessResult,
+    SampleSet,
     de_rham_symbol_sample,
     elliptic_scan,
     exactness_check,
@@ -247,3 +255,54 @@ def test_exactness_check_is_the_one_sample_scan(monkeypatch):
     exactness_check(sample, 1)
     elliptic_scan([sample, sample])
     assert seen == [(1, [1]), (2, [0, 1, 2])]
+
+
+def _derham_set(count, fiber=None, seed=0):
+    fiber = fiber or ModuleSpec(AlgebraSpec((1, 2)), 1)
+    rng = rng_for(5, "symbol-set", seed)
+    samples = [de_rham_symbol_sample(2, fiber, xi, tag=f"s{j}") for j, xi in enumerate(rng.standard_normal((count, 2)))]
+    return samples, SampleSet.of(samples)
+
+
+def test_scan_of_a_set_equals_scan_of_its_samples():
+    samples, sset = _derham_set(6)
+    assert len(sset) == 6 and sset.tags == [s.tag for s in samples]
+    assert all(not r.flags.writeable for st in sset.maps for r in st)
+    a, b = elliptic_scan(samples), elliptic_scan(sset)
+    assert a.verdict == b.verdict == "elliptic" and a.samples == b.samples == 6
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert ra["tag"] == rb["tag"]
+        assert all(_same_bits(x, y) for x, y in zip(ra["degrees"], rb["degrees"], strict=True))
+
+
+def test_sample_set_rejects_bad_shapes():
+    samples, sset = _derham_set(3)
+    with pytest.raises(EmptySampleSet):
+        SampleSet([], sset.fibers, [[r[:0] for r in st] for st in sset.maps])
+    with pytest.raises(DegreeMismatch):
+        SampleSet(sset.tags, sset.fibers, sset.maps[:1])
+    with pytest.raises(SpecMismatch):
+        SampleSet(sset.tags[:2], sset.fibers, sset.maps)
+    with pytest.raises(SpecMismatch):
+        SampleSet.of([samples[0], random_exact_sample(rng_for(5, "symbol-other", 0))[0]])
+
+
+def test_sample_set_names_the_first_failing_sample():
+    # sample 1 does not square to zero and sample 3 leaks outside a projective
+    # fiber: the error names whichever comes first
+    fiber = ModuleSpec(AlgebraSpec((1,)), 2, projection=(np.diag([1.0, 0.0]),))
+    _, sset = _derham_set(5, fiber)
+
+    def broken(square_at, leak_at):
+        maps = [[np.array(r) for r in st] for st in sset.maps]
+        p1, p2 = (f.projection[0] for f in sset.fibers[1:])
+        maps[1][0][square_at] += p1 @ np.ones((len(p1), len(p2))) @ p2
+        maps[0][0][leak_at, :, 1] = 1.0  # outside diag(1, 0) in the target's first slot
+        return SampleSet(sset.tags, sset.fibers, maps)
+
+    with pytest.raises(NotAComplex) as err:
+        broken(1, 3)
+    assert err.value.index == 1
+    with pytest.raises(ProjectionLeak) as err:
+        broken(3, 1)
+    assert (err.value.index, err.value.degree) == (1, 0)
