@@ -11,10 +11,12 @@ Laplacian
     S_i = s_{i-1} s_{i-1}* + s_i* s_i
 
 and measures how invertible it is.  Exactness of the sequence at a sample is
-equivalent to invertibility of every S_i there, and the weighted variants
+equivalent to invertibility of every S_i there; the scan decides both
+with explicit margins.  At an exact degree the weighted variants
 lam * s_i* s_i + mu * s_{i-1} s_{i-1}* stay invertible for any nonzero
-weights; the scan verifies both directions with explicit margins.  A
-certificate only speaks for the sampled covectors.
+weights, which weighted_symbol_laplacian_check verifies on one sample and
+degree; the scan does not run it.  A certificate only speaks for the
+sampled covectors.
 
 The module also builds the exterior-algebra symbols of the de Rham complex:
 at covector xi the degree-k map is wedging with 2*pi*i*xi, and the symbol

@@ -300,13 +300,33 @@ def _fiber_norms_sq(stacks) -> np.ndarray:
 
     stacks holds one (..., n_b, m*n_b) array per algebra block, all with the
     same leading axes; |u|^2 is the largest eigenvalue of the fiber Gram
-    U_b U_b* over the blocks, from one eigvalsh per block over the stack.
+    U_b U_b* over the blocks.  For n_b <= 2 it comes in closed form from the
+    rows u_0, u_1 of U_b, each sum taken over the real and imaginary views
+    with no Gram and no conjugate copy: |u_0|^2 for n_b = 1, and for n_b = 2,
+    with a = |u_0|^2, d = |u_1|^2 and c = <u_0, u_1>,
+
+        (a + d)/2 + hypot((a - d)/2, |c|),
+
+    which overflows only where the Gram itself would.  Larger blocks take
+    one eigvalsh over the stack of Grams.
     """
     out = np.zeros(stacks[0].shape[:-2])
     for b in stacks:
-        lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))[..., -1]
+        if b.shape[-2] > 2:
+            lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))[..., -1]
+        else:
+            re, im = b.real, b.imag
+            sq = np.einsum("...ij,...ij->...i", re, re) + np.einsum("...ij,...ij->...i", im, im)
+            if b.shape[-2] == 1:
+                lam = sq[..., 0]
+            else:
+                a, d = sq[..., 0], sq[..., 1]
+                r0, r1, i0, i1 = re[..., 0, :], re[..., 1, :], im[..., 0, :], im[..., 1, :]
+                c_re = np.einsum("...j,...j->...", r0, r1) + np.einsum("...j,...j->...", i0, i1)
+                c_im = np.einsum("...j,...j->...", i0, r1) - np.einsum("...j,...j->...", r0, i1)
+                lam = 0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), np.hypot(c_re, c_im))
         out = np.maximum(out, lam)
-    return np.maximum(out, 0.0)
+    return out
 
 
 def _check_multi_index(alpha, n: int) -> tuple:
@@ -432,7 +452,19 @@ class EquivalenceConstants:
 
 
 def norm_equivalence_constants(geometry: TorusGeometry, t: float) -> EquivalenceConstants:
-    ratios = _sobolev_weights(geometry, t) / _fourier_weights(geometry, t)
+    """The constants for Sobolev index t, each ratio taken as one power of a
+    base in [1, 4 pi^2], so that no weight overflows on the way.
+
+    Raises HypothesisViolated when t is so large that a ratio over the band
+    overflows or underflows to 0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = ((1.0 + geometry.laplacian_values) / (1.0 + geometry.mode_norms_sq)) ** t
+    if not (np.isfinite(ratios) & (ratios > 0.0)).all():
+        raise HypothesisViolated(
+            f"Sobolev index {t:g} leaves the floating-point range: norm ratios from "
+            f"{ratios.min():g} to {ratios.max():g} over the band"
+        )
     rmin, rmax = float(ratios.min()), float(ratios.max())
     return EquivalenceConstants(
         t=t,
@@ -570,7 +602,7 @@ def embedding_checks(
     of each multi-index and each section's fourier_norm are computed once.
     Per block, a run of sections takes one product of its (sections,
     multi-indices, modes) coefficient stack with the phase matrix and one
-    eigvalsh over the fiber Grams of all values.  A run holds as many
+    _fiber_norms_sq pass over all values.  A run holds as many
     sections as keep its coefficient and value stacks within
     MAX_GRID_PHASES entries per block, so memory does not grow with the
     number of sections; sections may come from a generator and are drawn
@@ -830,10 +862,10 @@ def regularity_reports(
     The gain constant and the kernel supports depend on the geometry only
     and are computed once.  A run of right-hand sides is solved as one
     (sections, modes, n_b, m*n_b) stack per block, and the fiber norms of
-    the residual, the solutions and the right-hand sides take one eigvalsh
-    per block; every t only reweights them.  A run holds as many sections
-    as keep that stack within MAX_GRID_PHASES entries per block, and the
-    sections may come from a generator.
+    the residual, the solutions and the right-hand sides take one
+    _fiber_norms_sq pass; every t only reweights them.  A run holds as many
+    sections as keep that stack within MAX_GRID_PHASES entries per block,
+    and the sections may come from a generator.
     """
     qsq, lam = geometry.mode_norms_sq, geometry.laplacian_values
     nz = qsq > 0

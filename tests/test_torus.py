@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_norm_equivalence():
                 pn, fn = product_norm(s, t), fourier_norm(s, t)
                 assert pn <= c.upper * fn * (1 + 1e-12)
                 assert pn >= c.lower_safe * fn * (1 - 1e-12)
+
+
+def test_norm_equivalence_at_large_t():
+    # the Sobolev weights overflow at t = 200 while the ratio does not, and
+    # both weight families overflow at t = 2000: dividing the weights gave an
+    # infinite ratio_max at t = 200 and nan constants at t = +-2000
+    geo = TorusGeometry(1, 1, SCALAR)
+    base = (1.0 + 4.0 * math.pi**2) / 2.0  # the ratio's base at |q| = 1
+    for t in (200.0, -200.0):
+        c = norm_equivalence_constants(geo, t)
+        assert (c.ratio_min, c.ratio_max) == pytest.approx(sorted([1.0, base**t]), rel=1e-12)
+        assert math.isfinite(c.upper) and c.lower_safe > 0.0
+    # at |t| = 2000 the ratio itself overflows (t > 0) or underflows to 0 (t < 0)
+    for t in (2000.0, -2000.0):
+        with pytest.raises(HypothesisViolated, match="floating-point range"):
+            norm_equivalence_constants(geo, t)
 
 
 def test_embedding_zero_section():
@@ -695,14 +712,16 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 @pytest.mark.parametrize("suite", ["embedding", "regularity"])
 def test_suite_kernel_calls_do_not_grow_with_sections(monkeypatch, suite):
-    # one phase matrix and one eigvalsh per block and stack, however many sections
+    # one phase matrix and one fiber-norm pass per stack, however many
+    # sections; blocks of size 1 and 2 take their norms in closed form
     from cstarhodge.cli import main
 
     counts = []
     for sections in (4, 40):
         calls = {}
-        _count_calls(monkeypatch, np.linalg, "eigvalsh", calls)
+        _count_calls(monkeypatch, torus, "_fiber_norms_sq", calls)
         _count_calls(monkeypatch, np, "exp", calls)
+        _count_calls(monkeypatch, np.linalg, "eigvalsh", calls)
         argv = ["torus-demo", "--n", "2", "--band", "1", "--fiber", "1x2,1", "--suite", suite,
                 "--sections", str(sections), "--format", "json"]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -710,7 +729,64 @@ def test_suite_kernel_calls_do_not_grow_with_sections(monkeypatch, suite):
         monkeypatch.undo()
         counts.append(calls)
     assert counts[0] == counts[1]
-    assert counts[0]["eigvalsh"] == 2 * (2 if suite == "embedding" else 1)
+    assert counts[0]["_fiber_norms_sq"] == (2 if suite == "embedding" else 1)
+    assert counts[0].get("eigvalsh", 0) == 0
+
+
+def _gram_oracle(stacks):
+    """Largest eigenvalue of every fiber Gram, from eigvalsh, over the blocks."""
+    lam = [np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))[..., -1] for b in stacks]
+    return np.maximum(np.max(lam, axis=0), 0.0)
+
+
+def _fiber_stack(rng, lead, nb, cols, kind):
+    """A (*lead, nb, cols) stack of row matrices of the given kind."""
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "zero":
+        return np.zeros((*lead, nb, cols), dtype=complex)
+    if kind == "parallel":  # every row a multiple of one vector
+        return normal(*lead, nb, 1) * normal(*lead, 1, cols)
+    if kind == "orthogonal":  # row j holds i^j v in its own columns: equal norms, <u_j, u_k> = 0
+        k = cols // nb
+        out = np.zeros((*lead, nb, cols), dtype=complex)
+        v = normal(*lead, k)
+        for j in range(nb):
+            out[..., j, j * k:(j + 1) * k] = 1j**j * v
+        return out
+    return normal(*lead, nb, cols)
+
+
+@settings(max_examples=120, deadline=None)
+@example(blocks=(2,), cols=4, kind="orthogonal", scale=1.0, seed=0)
+@example(blocks=(2,), cols=6, kind="orthogonal", scale=1e150, seed=0)
+@example(blocks=(1, 2, 3), cols=6, kind="parallel", scale=1e-150, seed=0)
+@example(blocks=(2, 2), cols=0, kind="random", scale=1.0, seed=0)
+@given(
+    blocks=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3).map(tuple),
+    cols=st.integers(0, 6),
+    kind=st.sampled_from(["random", "zero", "parallel", "orthogonal"]),
+    scale=st.sampled_from([1.0, 1e150, 1e-150]),
+    seed=st.integers(0, 2**16),
+)
+def test_fiber_norms_match_eigvalsh_oracle(blocks, cols, kind, scale, seed):
+    # the closed form for blocks of size 1 and 2 and eigvalsh for larger ones
+    # agree with the Gram's largest eigenvalue to a few ulp, and stay finite
+    # where it is: at scale 1e150 the Gram entries reach 1e300, where a
+    # sqrt(h*h + |c|^2) would overflow.  The bound is the oracle's: against an
+    # extended-precision reference the closed form stays within 2 eps, while
+    # the Gram product and eigvalsh reach about 7.5 eps on rows of length 6
+    rng = np.random.default_rng(seed)
+    lead = (3, 2)
+    stacks = [scale * _fiber_stack(rng, lead, nb, cols, kind) for nb in blocks]
+    want = _gram_oracle(stacks)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        got = torus._fiber_norms_sq(stacks)
+    assert eigvalsh.call_count == sum(nb > 2 for nb in blocks)
+    assert got.shape == want.shape == lead
+    assert np.isfinite(got[np.isfinite(want)]).all()
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
 
 
 def _demo_report(sections, suite="all"):
