@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -463,7 +464,13 @@ def render(report: dict, fmt: str) -> str:
 # -- argument parsing ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    It holds no command functions: main looks up cmd_<command> when it runs,
+    so the parser stays the same object however often main is called.
+    """
     parser = argparse.ArgumentParser(
         prog="cstarhodge",
         description="Verification tool for Hodge theory over finite-dimensional "
@@ -479,21 +486,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-complex", parents=[common], help="validate a chain complex file")
     p.add_argument("file")
-    p.set_defaults(run=cmd_check_complex)
 
     p = sub.add_parser("hodge", parents=[common], help="harmonic and cohomology dimensions")
     p.add_argument("file")
     p.add_argument("--degree", type=int, default=None, help="restrict to one degree")
-    p.set_defaults(run=cmd_hodge)
 
     p = sub.add_parser("parametrix", parents=[common], help="Green operator identities at a degree")
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(run=cmd_parametrix)
 
     p = sub.add_parser("ellipticity", parents=[common], help="scan a symbol sample set")
     p.add_argument("file")
-    p.set_defaults(run=cmd_ellipticity)
 
     p = sub.add_parser("torus-demo", parents=[common], help="torus de Rham demonstrations")
     p.add_argument("--n", type=int, required=True, help="torus dimension")
@@ -506,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sections", type=int, default=20, help="random sections per suite")
     p.add_argument("--t", type=float, default=None, help="Sobolev index for the embedding suite")
-    p.set_defaults(run=cmd_torus_demo)
     return parser
 
 
@@ -517,7 +519,8 @@ def main(argv=None) -> int:
     )
     try:
         config.validate()
-        report, passed = args.run(args, config)
+        run = globals()["cmd_" + args.command.replace("-", "_")]
+        report, passed = run(args, config)
     except CStarHodgeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

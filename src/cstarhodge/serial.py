@@ -552,9 +552,107 @@ def _numpy_scalar(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# the JSON text of a scalar, by its exact type
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_JSON_TYPES = frozenset((*_SCALAR_TEXT, list, tuple, dict))
+
+
+def _json_base(value):
+    """The one JSON type that the type of value derives from, or None.
+
+    No class derives from two of them, and bool, the one subclass among
+    them, cannot itself be subclassed.
+    """
+    return next((t for t in (str, int, float, list, tuple, dict) if isinstance(value, t)), None)
+
+
+def _key_text(key) -> str:
+    """An object key as JSON text: a string, or an int, float, bool or None written as a string."""
+    kind = type(key)
+    if kind not in _JSON_TYPES:
+        kind = _json_base(key)
+    if kind is str:
+        return _encode_str(key)
+    if kind in _SCALAR_TEXT:
+        return '"' + _SCALAR_TEXT[kind](key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(value, lead: str, indent: str, out: list):
+    """Append the JSON text of value to out, after lead; indent is a newline and value's indent.
+
+    Each scalar is one chunk together with the separator, key and indent
+    before it, and each nonempty container adds one chunk that closes it.
+    A container writes its items of exact scalar types in its own loop.
+    """
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = _json_base(value)
+    if kind is None:
+        _write(_numpy_scalar(value), lead, indent, out)
+    elif kind is dict:
+        if not value:
+            out.append(lead + "{}")
+            return
+        inner = indent + " "
+        sep = "," + inner
+        lead += "{" + inner
+        # keys are distinct, so sorting them orders the items as json's sorted(items()) does
+        for key in sorted(value):
+            item = value[key]
+            head = lead + (_encode_str(key) if type(key) is str else _key_text(key)) + ": "
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                _write(item, head, inner, out)
+            else:
+                out.append(head + text(item))
+            lead = sep
+        out.append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append(lead + "[]")
+            return
+        inner = indent + " "
+        sep = "," + inner
+        lead += "[" + inner
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                _write(item, lead, inner, out)
+            else:
+                out.append(lead + text(item))
+            lead = sep
+        out.append(indent + "]")
+    else:
+        out.append(lead + _SCALAR_TEXT[kind](value))
+
+
 def dump_json(data) -> str:
-    """Deterministic rendering: sorted keys, floats in shortest round-trip form."""
-    return json.dumps(data, sort_keys=True, indent=1, default=_numpy_scalar) + "\n"
+    """Deterministic rendering: sorted keys, floats in shortest round-trip form.
+
+    The text is json.dumps(data, sort_keys=True, indent=1,
+    default=_numpy_scalar) plus a newline, byte for byte, written in one
+    recursive pass whose strings go through json's C string encoder.
+    """
+    out: list = []
+    _write(data, "", "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(path: str):

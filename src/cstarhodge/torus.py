@@ -411,7 +411,8 @@ def _sobolev_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
 
 
 def _fourier_weights(geometry: TorusGeometry, t: float) -> np.ndarray:
-    with np.errstate(over="ignore"):  # an overflow reads inf, which embedding_checks refuses
+    # an overflow reads inf, which embedding_checks and regularity_reports refuse
+    with np.errstate(over="ignore"):
         return (1.0 + geometry.mode_norms_sq) ** t
 
 
@@ -866,7 +867,19 @@ def regularity_reports(
     _fiber_norms_sq pass; every t only reweights them.  A run holds as many
     sections as keep that stack within MAX_GRID_PHASES entries per block,
     and the sections may come from a generator.
+
+    A t whose Fourier weights for t or t + 2 overflow raises
+    HypothesisViolated naming t, before any right-hand side is drawn: both
+    norms of its gain check would read inf, and inf <= inf would pass.
     """
+    solution_weights = [_fourier_weights(geometry, t + 2.0) for t in t_values]
+    rhs_weights = [_fourier_weights(geometry, t) for t in t_values]
+    for t, above, at in zip(t_values, solution_weights, rhs_weights):
+        if not (np.isfinite(above).all() and np.isfinite(at).all()):
+            raise HypothesisViolated(
+                f"Sobolev index {t:g} leaves the floating-point range: largest Fourier weight "
+                f"{above.max():g} at t + 2"
+            )
     qsq, lam = geometry.mode_norms_sq, geometry.laplacian_values
     nz = qsq > 0
     gain_constant = float(((1.0 + qsq[nz]) / lam[nz]).max()) if nz.any() else 0.0
@@ -890,8 +903,6 @@ def regularity_reports(
     inv, zero = (np.asarray(v, dtype=complex)[:, None, None] for v in _solve_multipliers(geometry))
     lap = np.asarray(lam, dtype=complex)[:, None, None]
     ones = _fourier_weights(geometry, 0.0)
-    solution_weights = [_fourier_weights(geometry, t + 2.0) for t in t_values]
-    rhs_weights = [_fourier_weights(geometry, t) for t in t_values]
     m = max(1, geometry.form_fiber(degree).rank)
     out = []
     # entries per section of the largest block's stack of residual, solution and right-hand side

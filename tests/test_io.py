@@ -1,3 +1,5 @@
+import argparse
+import collections
 import contextlib
 import io
 import itertools
@@ -8,8 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cstarhodge import serial
+from cstarhodge import cli, serial
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex, random_complex
 from cstarhodge.cli import main
@@ -427,6 +430,132 @@ def test_dump_json_numpy_scalars_match_builtins():
     assert serial.dump_json(as_numpy) == serial.dump_json(as_builtins)
     with pytest.raises(TypeError):
         serial.dump_json({"array": np.zeros(2)})
+
+
+def _oracle_json(data) -> str:
+    """The text dump_json must match: json's own rendering, run by its pure-Python encoder."""
+    return json.dumps(data, sort_keys=True, indent=1, default=serial._numpy_scalar) + "\n"
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 10**40, -(10**40)])
+    | st.text()
+    | st.sampled_from(["", "\u00e9\u2028\U0001f600", "\x00\x1f\"\\/\t\n", "\ud800"])
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.floats(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_dump_json_matches_the_json_oracle(data):
+    assert serial.dump_json(data) == _oracle_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {3: "a", -0.5: [], 10**20: {}},
+        {math.inf: 1, -math.inf: 2, math.nan: 3},
+        {True: 1, False: 2},
+        {None: [None]},
+        {np.float64(0.5): 1, np.str_("k"): np.str_("v")},
+        {"counter": collections.Counter(b=2, a=1), "pair": collections.namedtuple("Pair", "x y")(1, 2.5)},
+        {(1, 2): 3},
+        {np.int64(3): 1},
+        {1: 0, "a": 1},
+        {"array": np.zeros(2)},
+        [np.zeros(0)],
+        np.zeros(2),
+        object(),
+    ],
+)
+def test_dump_json_keys_and_arrays_behave_as_the_oracle(data):
+    try:
+        expected = _oracle_json(data)
+    except Exception as e:  # the writer must raise the same type
+        with pytest.raises(type(e)):
+            serial.dump_json(data)
+    else:
+        assert serial.dump_json(data) == expected
+
+
+def _cli_outcome(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of one in-process cli.main call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_reuses_one_parser_across_calls(tmp_path, capsys, monkeypatch):
+    cx, _ = random_complex(rng_for(7, "io-parser-reuse", 0))
+    cx_path, samples_path = str(tmp_path / "cx.json"), str(tmp_path / "samples.json")
+    serial.save_complex(cx_path, cx)
+    fiber = ModuleSpec(AlgebraSpec((2,)), 1)
+    serial.save_sample_set(
+        samples_path,
+        [de_rham_symbol_sample(2, fiber, xi, tag=f"xi{j}") for j, xi in enumerate(np.eye(2))],
+    )
+    calls = [
+        ["hodge", cx_path, "--degree", "1", "--format", "json"],
+        ["hodge", cx_path],
+        ["parametrix", cx_path],
+        ["ellipticity", samples_path, "--format", "json"],
+        ["torus-demo", "--n", "1", "--band", "1", "--fiber", "1x1", "--sections", "2"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [_cli_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert "--degree" in shared[2][2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_cli_outcome(argv, capsys) for argv in calls] == shared
+
+
+def test_cli_looks_up_the_command_when_it_runs(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cx.json"
+    serial.save_complex(path, random_complex(rng_for(7, "io-parser-patch", 0))[0])
+    argv = ["hodge", str(path), "--format", "json"]
+    assert _cli_outcome(argv, capsys)[0] == 0
+    report = {"command": "hodge", "sections": [], "passed": False}
+    monkeypatch.setattr(cli, "cmd_hodge", lambda args, config: (report, False))
+    assert _cli_outcome(argv, capsys) == (1, serial.dump_json(report), "")
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cx.json"
+    serial.save_complex(path, random_complex(rng_for(7, "io-parser-count", 0))[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    counts = []
+    for calls in (1, 20):
+        cli.build_parser.cache_clear()
+        built.clear()
+        for _ in range(calls):
+            assert _cli_outcome(["check-complex", str(path)], capsys)[0] == 0
+        counts.append(len(built))
+    assert counts[0] > 0 and counts[0] == counts[1]
 
 
 def _leaking_files(tmp_path, row):

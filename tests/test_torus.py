@@ -359,6 +359,21 @@ def test_regularity_report_random():
         assert abs(rep.gain_constant - 2.0 / (4 * math.pi**2)) < 1e-13
 
 
+def test_regularity_refuses_a_t_whose_weights_overflow():
+    # at t = 2000 both norms of the gain check overflow to inf, and
+    # inf <= inf passed; no right-hand side is drawn before the refusal
+    geo = TorusGeometry(1, 1, SCALAR)
+
+    def rhs():
+        raise AssertionError("right-hand side drawn before t was validated")
+        yield
+
+    with pytest.raises(HypothesisViolated, match="Sobolev index 2000 leaves the floating-point range"):
+        regularity_reports(geo, 0, rhs(), t_values=(0.0, 2000.0))
+    f = random_section(geo, 0, rng_for(6, "torus-reg-large-t", 0))
+    assert regularity_report(geo, 0, f, t_values=(200.0,)).passed
+
+
 def test_geometry_mismatch_rejected():
     g1 = TorusGeometry(1, 1, SCALAR)
     g2 = TorusGeometry(1, 2, SCALAR)
