@@ -13,6 +13,14 @@ intertwines the differentials (p' D = 0, D g = g' D, D L = L' D), harmonic
 vectors represent cohomology classes bijectively, and every vector splits as
 harmonic + exact + coexact.  All of this is checked numerically by the test
 suite against the concrete shadow matrices.
+
+The identities are computed on per-block arrays, not on composed Morphisms:
+p is built as 1 - R_L R_g per block, Parametrix.residuals stacks a degree's
+five residuals into one (5, n, n) array per algebra block and
+verify_chain_map a differential's four into one (4, rows, cols) array, so
+each takes one values-only SVD per block (hom._largest_singular).  A map
+product x y is R_y R_x per block, as in Morphism.__matmul__, so the values
+are those of the compositions bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .errors import (
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, _largest_singular, identity_morphism, random_morphism
+from .hom import Morphism, _largest_singular, identity_mats, identity_morphism, random_morphism
 from .module import ModuleSpec, ModuleVector, inner_product
 
 __all__ = [
@@ -122,6 +130,30 @@ def free_rank_of_projection(p: Morphism, tol: float = 1e-8) -> Optional[int]:
     return block_free_rank([np.trace(r).real for r in p.mats], p.algebra.block_sizes, tol)
 
 
+# Parametrix.residuals' keys, in the order of its stack
+PARAMETRIX_RESIDUALS = (
+    "green_laplacian_plus_projector",
+    "laplacian_green_plus_projector",
+    "laplacian_kills_projector",
+    "green_kills_projector",
+    "projector_idempotent",
+)
+
+# verify_chain_map's keys per differential, in the order of its stack
+CHAIN_MAP_RESIDUALS = (
+    "projector_after_differential",
+    "green_commutes",
+    "laplacian_commutes",
+    "differential_after_projector",
+)
+
+
+def _require_on(module: ModuleSpec, maps, what: str):
+    """Raise SpecMismatch unless every map is an endomorphism of module."""
+    if any(f.source != module or f.target != module for f in maps):
+        raise SpecMismatch(f"{what} does not act on its module")
+
+
 @dataclass(frozen=True)
 class Parametrix:
     """Green operator and harmonic projection for one Laplacian."""
@@ -132,15 +164,19 @@ class Parametrix:
     projector: Morphism
 
     def residuals(self) -> dict:
+        """Operator norms of gL + p - 1, Lg + p - 1, Lp, gp and p^2 - p.
+
+        All three maps must be endomorphisms of the Laplacian's module.  Per
+        algebra block the five residual matrices are one (5, n, n) stack
+        with one values-only SVD; a map product x y is R_y R_x per block.
+        """
         lap, g, p = self.laplacian, self.green, self.projector
-        one = identity_morphism(lap.source)
-        return {
-            "green_laplacian_plus_projector": (g @ lap + p - one).norm(),
-            "laplacian_green_plus_projector": (lap @ g + p - one).norm(),
-            "laplacian_kills_projector": (lap @ p).norm(),
-            "green_kills_projector": (g @ p).norm(),
-            "projector_idempotent": (p @ p - p).norm(),
-        }
+        _require_on(lap.source, (lap, g, p), f"parametrix of degree {self.degree}")
+        stacks = [
+            np.stack([rl @ rg + rp - one, rg @ rl + rp - one, rp @ rl, rp @ rg, rp @ rp - rp])
+            for rl, rg, rp, one in zip(lap.mats, g.mats, p.mats, identity_mats(lap.source))
+        ]
+        return dict(zip(PARAMETRIX_RESIDUALS, _largest_singular(stacks).tolist()))
 
     def verify(self, tol: float = 1e-8) -> bool:
         """Parametrix validity: the two resolvent identities and L p = 0.
@@ -299,7 +335,11 @@ class ChainComplex:
         if key not in self._parametrices:
             lap = self.laplacian(i)
             green = lap.pseudoinverse(cutoff)
-            projector = identity_morphism(lap.source) - green @ lap
+            # p = 1 - g L, per block 1 - R_L R_g
+            mod = self.modules[i]
+            projector = Morphism(
+                mod, mod, [one - rl @ rg for one, rl, rg in zip(identity_mats(mod), lap.mats, green.mats)]
+            )
             self._parametrices[key] = Parametrix(i, lap, green, projector)
         return self._parametrices[key]
 
@@ -438,7 +478,10 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
 
     For every differential D_i the family must satisfy p_{i+1} D_i = 0,
     D_i g_i = g_{i+1} D_i, D_i L_i = L_{i+1} D_i and D_i p_i = 0.  This is
-    the only place these identities are computed.
+    the only place these identities are computed: per differential and
+    algebra block the four residual matrices are one (4, rows, cols) stack
+    with one values-only SVD.  The maps of parametrices i and i + 1 must be
+    endomorphisms of D_i's source and target, else SpecMismatch.
     """
     parametrices = list(parametrices)
     if len(parametrices) != complex_.top_degree + 1:
@@ -452,18 +495,26 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
 
     degrees = []
     worst = 0.0
-    for i in range(len(complex_.diffs)):
-        d = complex_.diffs[i]
+    for i, d in enumerate(complex_.diffs):
         low, high = parametrices[i], parametrices[i + 1]
-        entry = {
-            "degree": i,
-            "projector_after_differential": (high.projector @ d).norm(),
-            "green_commutes": (d @ low.green - high.green @ d).norm(),
-            "laplacian_commutes": (d @ low.laplacian - high.laplacian @ d).norm(),
-            "differential_after_projector": (d @ low.projector).norm(),
-        }
-        degrees.append(entry)
-        worst = max(worst, *(v for key, v in entry.items() if key != "degree"))
+        _require_on(d.source, (low.laplacian, low.green, low.projector), f"parametrix of degree {i}")
+        _require_on(d.target, (high.laplacian, high.green, high.projector), f"parametrix of degree {i + 1}")
+        # p' D, D g - g' D, D L - L' D and D p; a map product x y is R_y R_x per block
+        stacks = [
+            np.stack([rd @ ph, gl @ rd - rd @ gh, ll @ rd - rd @ lh, pl @ rd])
+            for rd, gl, ll, pl, gh, lh, ph in zip(
+                d.mats,
+                low.green.mats,
+                low.laplacian.mats,
+                low.projector.mats,
+                high.green.mats,
+                high.laplacian.mats,
+                high.projector.mats,
+            )
+        ]
+        values = _largest_singular(stacks).tolist()
+        degrees.append({"degree": i, **dict(zip(CHAIN_MAP_RESIDUALS, values))})
+        worst = max(worst, *values)
     return {"degrees": degrees, "max_residual": worst, "passed": worst <= tol}
 
 

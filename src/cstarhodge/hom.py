@@ -25,13 +25,19 @@ largest value of its own full SVDs, so neither result depends on which of
 the two ran first.  The functions on per-block arrays (..., rows, cols)
 serve a single map and a stack of equal-shape maps alike: a stack (torus
 modes, symbol samples) takes one batched SVD per block and never becomes
-Morphisms.  A map between projective modules must not leak outside them,
+Morphisms; chain's parametrix and chain-map residuals stack a degree's or a
+differential's residual matrices the same way, one SVD per block.  The rank
+decision (singular_rank) runs on numpy for stacked spectra and as a
+plain-Python loop for one spectrum, with the same result bit for bit.  A
+map between projective modules must not leak outside them,
 R_b = P_source,b R_b P_target,b (projection_residuals).  The shadow
 (``embed``) and its pullback ``morphism_from_concrete`` stay as the
 oracles the tests check these numerics against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -105,23 +111,45 @@ def singular_rank(svals, cutoff: float):
     the factor by which the smallest kept value clears cutoff*smax and the
     largest nonzero dropped value stays below it.  All kept or all dropped
     is still reported by its ratio; an empty or all-zero spectrum gives
-    margin = inf.  The cutoff is positive.  Spectra stacked along leading
-    axes give arrays, each cut at its own largest value; one spectrum gives
-    an int and a float.
+    margin = inf, and so does a kept value whose threshold underflows to 0.
+    The cutoff is positive.  Spectra stacked along leading axes give arrays,
+    each cut at its own largest value; one spectrum gives an int and a
+    float from a plain-Python loop (a handful of values costs less that way
+    than numpy's per-call overhead), bit for bit the stacked rule's.
     """
     s = np.asarray(svals, dtype=float)
+    if s.ndim == 1:
+        return _spectrum_rank(s.tolist(), cutoff)
     thresh = cutoff * s[..., :1]
     kept = s > thresh
     # s / thresh of a kept value and thresh / s of a dropped one, each the
-    # larger of the two; a zero value (and so a zero spectrum) stays inf,
-    # so nothing is divided by zero
+    # larger of the two; a zero value (and so a zero spectrum) stays inf
     ratios = np.empty_like(s)
     ratios.fill(np.inf)
     np.divide(thresh, s, out=ratios, where=s > 0)
     np.divide(s, thresh, out=ratios, where=kept)
     rank = np.add.reduce(kept, axis=-1)
     margin = np.minimum.reduce(ratios, axis=-1, initial=np.inf)
-    return (int(rank), float(margin)) if s.ndim == 1 else (rank, margin)
+    return rank, margin
+
+
+def _spectrum_rank(values: list, cutoff: float) -> tuple:
+    """singular_rank of one spectrum given as a list of floats."""
+    if not values:
+        return 0, math.inf
+    thresh = cutoff * values[0]
+    rank, margin = 0, math.inf
+    for v in values:
+        if v > thresh:
+            rank += 1
+            ratio = v / thresh if thresh > 0 else math.inf
+        elif v > 0:
+            ratio = thresh / v
+        else:
+            continue
+        if ratio < margin:
+            margin = ratio
+    return rank, margin
 
 
 class Morphism:
@@ -310,15 +338,16 @@ class Morphism:
         )
 
 
+def identity_mats(module: ModuleSpec):
+    """The identity's R_b per block: the defining projection if present, else 1."""
+    if module.projection is not None:
+        return module.projection
+    return [np.eye(module.rank * nb, dtype=complex) for nb in module.algebra.block_sizes]
+
+
 def identity_morphism(module: ModuleSpec) -> Morphism:
     """Identity of the module: the defining projection if present, else 1."""
-    if module.projection is not None:
-        return Morphism(module, module, module.projection)
-    return Morphism(
-        module,
-        module,
-        [np.eye(module.rank * nb, dtype=complex) for nb in module.algebra.block_sizes],
-    )
+    return Morphism(module, module, identity_mats(module))
 
 
 def morphism_from_concrete(

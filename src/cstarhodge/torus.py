@@ -868,9 +868,11 @@ def regularity_reports(
     sections as keep that stack within MAX_GRID_PHASES entries per block,
     and the sections may come from a generator.
 
-    A t whose Fourier weights for t or t + 2 overflow raises
-    HypothesisViolated naming t, before any right-hand side is drawn: both
-    norms of its gain check would read inf, and inf <= inf would pass.
+    A t whose Fourier weights for t or t + 2 overflow, or underflow to 0,
+    raises HypothesisViolated naming t, before any right-hand side is drawn.
+    On overflow both norms of its gain check would read inf, and inf <= inf
+    would pass; on underflow the nonzero modes would weigh nothing, and a
+    solution of zero mean would pass with norm 0 whatever it is.
     """
     solution_weights = [_fourier_weights(geometry, t + 2.0) for t in t_values]
     rhs_weights = [_fourier_weights(geometry, t) for t in t_values]
@@ -879,6 +881,11 @@ def regularity_reports(
             raise HypothesisViolated(
                 f"Sobolev index {t:g} leaves the floating-point range: largest Fourier weight "
                 f"{above.max():g} at t + 2"
+            )
+        if not (above.all() and at.all()):
+            raise HypothesisViolated(
+                f"Sobolev index {t:g} leaves the floating-point range: a Fourier weight at t "
+                "underflows to 0"
             )
     qsq, lam = geometry.mode_norms_sq, geometry.laplacian_values
     nz = qsq > 0

@@ -374,6 +374,24 @@ def test_regularity_refuses_a_t_whose_weights_overflow():
     assert regularity_report(geo, 0, f, t_values=(200.0,)).passed
 
 
+def test_regularity_refuses_a_t_whose_weights_underflow():
+    # at t = -2000 every nonzero mode's weight underflows to 0, so the
+    # zero-mean solution read norm 0 and the gain check passed on the zero
+    # mode's weight alone; no right-hand side is drawn before the refusal
+    geo = TorusGeometry(1, 1, SCALAR)
+
+    def rhs():
+        raise AssertionError("right-hand side drawn before t was validated")
+        yield
+
+    for t in (-2000.0, -2002.0):  # the weights at t, then at t + 2, underflow
+        with pytest.raises(HypothesisViolated, match=f"Sobolev index {t:g} .* underflows to 0"):
+            regularity_reports(geo, 0, rhs(), t_values=(0.0, t))
+    f = random_section(geo, 0, rng_for(6, "torus-reg-small-t", 0))
+    reports = regularity_reports(geo, 0, [f])
+    assert [g["t"] for g in reports[0].gains] == [-2.0, 0.0, 2.0] and reports[0].passed
+
+
 def test_geometry_mismatch_rejected():
     g1 = TorusGeometry(1, 1, SCALAR)
     g2 = TorusGeometry(1, 2, SCALAR)
