@@ -123,11 +123,13 @@ def singular_rank(svals, cutoff: float):
     thresh = cutoff * s[..., :1]
     kept = s > thresh
     # s / thresh of a kept value and thresh / s of a dropped one, each the
-    # larger of the two; a zero value (and so a zero spectrum) stays inf
+    # larger of the two; a zero value (and so a zero spectrum) stays inf, and
+    # a zero threshold or an overflowing ratio gives inf without a warning
     ratios = np.empty_like(s)
     ratios.fill(np.inf)
-    np.divide(thresh, s, out=ratios, where=s > 0)
-    np.divide(s, thresh, out=ratios, where=kept)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(thresh, s, out=ratios, where=s > 0)
+        np.divide(s, thresh, out=ratios, where=kept)
     rank = np.add.reduce(kept, axis=-1)
     margin = np.minimum.reduce(ratios, axis=-1, initial=np.inf)
     return rank, margin
@@ -310,14 +312,18 @@ class Morphism:
         The pseudoinverse of each R_b is taken with the threshold set by the
         largest singular value over all blocks, read from this call's own
         SVDs, so a block whose values all sit below it contributes zero and
-        the singular value cache is left to singular_values.
+        the singular value cache is left to singular_values.  A block with no
+        rows or no columns takes no SVD, as in block_singular_values.
         """
-        svds = [np.linalg.svd(r, full_matrices=False) for r in self.mats]
-        thresh = cutoff * max((f.S[0] for f in svds if f.S.size), default=0.0)
+        svds = [np.linalg.svd(r, full_matrices=False) if r.size else None for r in self.mats]
+        thresh = cutoff * max((f.S[0] for f in svds if f is not None), default=0.0)
         mats = []
-        for u, sb, vh in svds:
-            keep = sb > thresh
-            mats.append((vh[keep].conj().T / sb[keep]) @ u[:, keep].conj().T)
+        for r, f in zip(self.mats, svds):
+            if f is None:  # no rows or no columns: no SVD, and the zero map back
+                mats.append(np.zeros(r.shape[::-1], dtype=complex))
+                continue
+            keep = f.S > thresh
+            mats.append((f.Vh[keep].conj().T / f.S[keep]) @ f.U[:, keep].conj().T)
         return Morphism(self.target, self.source, mats)
 
     def range_decomposition(self, cutoff: float = 1e-10):

@@ -27,6 +27,18 @@ algebra dimension exceeds MAX_MODULE_DIM is refused before anything is
 allocated for it.  Saving writes every float in its shortest round-trip
 form, with one tolist() per block of a map or of a degree's stack, so
 save/load round-trips are exact.
+
+The cyclic garbage collector stays off for the whole life of a file's
+parsed tree: load_complex, load_sample_set and load_section parse, convert
+and validate, and drop the tree, and a save builds, renders and drops it,
+all with the collector paused.  A sample set's tree holds tens of
+thousands of lists, all new, so the first allocation after the collector
+comes back on would start a pass that walks every one of them and finds
+nothing: the tree holds no cycles, and reference counting frees it.  So the
+tree must be released inside the pause; freeing it also takes back the
+allocation count that would set that pass off.  The caller's collector
+state is restored on every exit path, and cyclic garbage made during the
+pause (a traceback on an error path) goes to the next pass.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 from typing import Optional
 
@@ -655,48 +668,67 @@ def dump_json(data) -> str:
     return "".join(out)
 
 
-def load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(f"{path}: {e.strerror or e}") from e
-    # the parsed tree holds no cycles, so collector passes during the parse find nothing
+@contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off inside, then back in the state it was in."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+        yield
     finally:
         if collecting:
             gc.enable()
 
 
-def _save(path: str, data):
+def load_json(path: str):
+    """The parsed JSON tree of the file at path, with the collector paused for the parse.
+
+    The pause covers the parse only.  A caller that converts the tree keeps
+    the collector paused until the tree is released, as the load_* readers
+    do; otherwise the first pass after the parse walks the whole tree.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ParseError(f"{path}: {e.strerror or e}") from e
+    try:
+        with _collector_paused():
+            return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON: {e}") from e
+
+
+def _save(path: str, to_data, obj):
+    """Write to_data(obj) as JSON, the tree built and rendered with the collector paused."""
+    with _collector_paused():
+        text = dump_json(to_data(obj))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(data))
+        fh.write(text)
 
 
 def save_complex(path: str, cx: ChainComplex):
-    _save(path, complex_to_data(cx))
+    _save(path, complex_to_data, cx)
 
 
 def load_complex(path: str, tol: float = 1e-9) -> ChainComplex:
-    return complex_from_data(load_json(path), tol=tol)
+    with _collector_paused():
+        return complex_from_data(load_json(path), tol=tol)
 
 
 def save_sample_set(path: str, samples):
-    _save(path, sample_set_to_data(samples))
+    _save(path, sample_set_to_data, samples)
 
 
 def load_sample_set(path: str, tol: float = 1e-9) -> SampleSet:
-    return sample_set_from_data(load_json(path), tol=tol)
+    with _collector_paused():
+        return sample_set_from_data(load_json(path), tol=tol)
 
 
 def save_section(path: str, s: TorusSection):
-    _save(path, section_to_data(s))
+    _save(path, section_to_data, s)
 
 
 def load_section(path: str) -> TorusSection:
-    return section_from_data(load_json(path))
+    with _collector_paused():
+        return section_from_data(load_json(path))

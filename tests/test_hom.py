@@ -120,6 +120,35 @@ def test_pseudoinverse_is_module_map():
     assert (g(act(a, u)) - act(a, g(u))).norm() < 1e-10
 
 
+def test_pseudoinverse_takes_no_svd_of_an_empty_block(monkeypatch):
+    # a block with no rows or no columns gives the zero (cols, rows) block
+    # without an SVD; every other block is bit for bit the former formula,
+    # one SVD per block cut at cutoff * the largest value over all blocks
+    alg = AlgebraSpec((1, 2))
+    rng = rng_for(15, "hom-pinv-empty", 0)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    for m, n in ((2, 0), (0, 3), (0, 0), (2, 3)):
+        t = random_morphism(ModuleSpec(alg, m), ModuleSpec(alg, n), rng)
+        svds = [svd(r, full_matrices=False) for r in t.mats if r.size]
+        thresh = 1e-10 * max((f.S[0] for f in svds), default=0.0)
+        want = iter([(vh[s > thresh].conj().T / s[s > thresh]) @ u[:, s > thresh].conj().T
+                     for u, s, vh in svds])
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        g = t.pseudoinverse()
+        monkeypatch.undo()
+        assert len(calls) == (len(alg.block_sizes) if m * n else 0)
+        for r, got in zip(t.mats, g.mats):
+            assert got.shape == r.shape[::-1]
+            assert np.array_equal(got, next(want) if r.size else np.zeros(got.shape))
+
+
 def test_rank_identity():
     alg = AlgebraSpec((1,))
     mod = ModuleSpec(alg, 1)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex, Parametrix, random_complex, verify_chain_map
 from cstarhodge.errors import SpecMismatch
-from cstarhodge.hom import identity_morphism, random_morphism, singular_rank
+from cstarhodge.hom import Morphism, identity_morphism, random_morphism, singular_rank
 from cstarhodge.module import ModuleSpec
 from cstarhodge.util import rng_for
 from test_diagnostics import _complexes as diagnostic_complexes
@@ -105,16 +105,8 @@ def test_a_parametrix_of_another_module_is_refused():
         verify_chain_map(cx, [other, cx.parametrix(1)])
 
 
-def test_hodge_svd_count(monkeypatch):
-    """3 SVDs per degree and block for the reports, 1 per differential and block for the chain map.
-
-    A report takes the Laplacian's singular values, its pseudoinverse and
-    the stacked residuals; the differentials' singular values were taken
-    when the complex was built.
-    """
-    alg = AlgebraSpec((1, 2))
-    cx, plan = random_complex(rng_for(14, "svd-count", 1), algebra=alg)
-    assert plan["module_ranks"] == [1, 3, 4, 3]  # no rank-0 module, whose blocks take no SVD
+def _hodge_svd_calls(cx, monkeypatch) -> int:
+    """np.linalg.svd calls made by every degree's report and the chain-map check."""
     calls = []
     svd = np.linalg.svd
 
@@ -126,8 +118,28 @@ def test_hodge_svd_count(monkeypatch):
     for i in range(len(cx.modules)):
         cx.cohomology_report(i)
     verify_chain_map(cx, cx.parametrix_family())
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_hodge_svd_count(monkeypatch):
+    """3 SVDs per degree and block for the reports, 1 per differential and block for the chain map.
+
+    A report takes the Laplacian's singular values, its pseudoinverse and
+    the stacked residuals; the differentials' singular values were taken
+    when the complex was built.  A block with no rows or no columns takes
+    none of them.
+    """
+    alg = AlgebraSpec((1, 2))
+    cx, plan = random_complex(rng_for(14, "svd-count", 1), algebra=alg)
+    assert plan["module_ranks"] == [1, 3, 4, 3]  # no rank-0 module, whose blocks take no SVD
     blocks = len(alg.block_sizes)
-    assert len(calls) == 3 * len(cx.modules) * blocks + len(cx.diffs) * blocks
+    assert _hodge_svd_calls(cx, monkeypatch) == 3 * len(cx.modules) * blocks + len(cx.diffs) * blocks
+    # A^2 -> A^0 -> A^2 with zero maps: degrees 0 and 2 take 3 per block, the
+    # rank-0 degree and both differentials (every block empty) none
+    mods = [ModuleSpec(alg, 2), ModuleSpec(alg, 0), ModuleSpec(alg, 2)]
+    empty = ChainComplex(mods, [Morphism.zero(a, b) for a, b in zip(mods, mods[1:])])
+    assert _hodge_svd_calls(empty, monkeypatch) == 12
 
 
 SUBNORMALS = [5e-324, 1e-320, 2.5e-310, 2.2250738585072009e-308]
@@ -152,9 +164,8 @@ spectra = st.lists(
 def test_singular_rank_of_one_spectrum_is_the_stacked_rule(values, cutoff):
     s = np.array(values, dtype=float)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the scalar path warns about nothing
+        warnings.simplefilter("error")  # neither path warns, not even when a ratio reads inf
         rank, margin = singular_rank(s, cutoff)
-    with np.errstate(divide="ignore", over="ignore"):  # a zero threshold reads inf
         want_rank, want_margin = singular_rank(s[None, :], cutoff)
     assert type(rank) is int and type(margin) is float
     assert rank == int(want_rank[0])

@@ -8,6 +8,7 @@ EXPECTED.
 """
 
 import contextlib
+import gc
 import io
 import json
 
@@ -435,3 +436,110 @@ def test_load_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch):
     finally:
         (gc.enable if enabled else gc.disable)()
     assert seen == [False] * 4
+
+
+FROM_DATA = {"complex": "complex_from_data", "samples": "sample_set_from_data", "section": "section_from_data"}
+
+
+@contextlib.contextmanager
+def _collector(collecting: bool):
+    """The collector switched on or off inside, and back in its former state after."""
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def _spy(monkeypatch, name: str, seen: list):
+    """Replace serial.<name> by a call that records gc.isenabled() on entry."""
+    real = getattr(serial, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(serial, name, spy)
+
+
+def _not_a_complex_text() -> str:
+    """Sample set text whose sample 2 fails D D = 0."""
+    data = _sample_data()
+    fibers = [serial.module_from_data(ALGEBRA, f) for f in data["fibers"]]
+    rng = rng_for(3, "reader-order", 0)
+    data["samples"][2]["maps"][1] = serial.matrix_to_data(random_morphism(fibers[1], fibers[2], rng))
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("fmt", sorted(FROM_DATA))
+def test_loaders_convert_with_the_collector_paused(tmp_path, monkeypatch, fmt, collecting):
+    # the tree is converted and released before the collector comes back on,
+    # and the caller's state is back after a load and after each kind of error
+    seen = []
+    _spy(monkeypatch, FROM_DATA[fmt], seen)
+    cases = [
+        (json.dumps(BUILDERS[fmt]()), None),
+        ("[1,", ParseError),
+        (_broken_text(fmt, "nan"), ValidationError),
+    ]
+    if fmt == "samples":
+        cases.append((_not_a_complex_text(), ValidationError))
+    path = tmp_path / "data.json"
+    with _collector(collecting):
+        for text, error in cases:
+            path.write_text(text)
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                LOADERS[fmt](str(path))
+            assert gc.isenabled() is collecting
+    assert seen == [False] * (len(cases) - 1)  # a parse error never reaches the conversion
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_saves_render_with_the_collector_paused(tmp_path, monkeypatch, collecting):
+    items = [
+        (serial.save_complex, serial.complex_from_data(_complex_data())),
+        (serial.save_sample_set, serial.sample_set_from_data(_sample_data())),
+        (serial.save_section, serial.section_from_data(_section_data())),
+    ]
+    seen = []
+    _spy(monkeypatch, "dump_json", seen)
+    with _collector(collecting):
+        for save, item in items:
+            save(str(tmp_path / "out.json"), item)
+            assert gc.isenabled() is collecting
+    assert seen == [False] * len(items)
+
+
+def test_no_collector_pass_starts_while_a_sample_set_is_converted(tmp_path, monkeypatch):
+    # at threshold 1 every new container would start a pass, so one does
+    # after the load, and none while the tree is converted
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(_sample_data()))
+    converting, starts = [False], []
+    from_data = serial.sample_set_from_data
+
+    def spy(*args, **kwargs):
+        converting[0] = True
+        try:
+            return from_data(*args, **kwargs)
+        finally:
+            converting[0] = False
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(converting[0])
+
+    monkeypatch.setattr(serial, "sample_set_from_data", spy)
+    thresholds = gc.get_threshold()
+    with _collector(True):
+        gc.set_threshold(1)
+        gc.callbacks.append(hook)
+        try:
+            serial.load_sample_set(str(path))
+            [[] for _ in range(10)]
+        finally:
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*thresholds)
+    assert starts and not any(starts)
