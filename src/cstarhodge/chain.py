@@ -17,10 +17,13 @@ suite against the concrete shadow matrices.
 The identities are computed on per-block arrays, not on composed Morphisms:
 p is built as 1 - R_L R_g per block, Parametrix.residuals stacks a degree's
 five residuals into one (5, n, n) array per algebra block and
-verify_chain_map a differential's four into one (4, rows, cols) array, so
-each takes one values-only SVD per block (hom._largest_singular).  A map
-product x y is R_y R_x per block, as in Morphism.__matmul__, so the values
-are those of the compositions bit for bit.
+verify_chain_map a differential's four into one (4, rows, cols) array.  A
+map product x y is R_y R_x per block, as in Morphism.__matmul__.  Each
+stack, like the D D = 0 products, goes through hom.certified_norms against
+its tolerance: a residual that passes may be reported as its Frobenius
+bound, one einsum per block, and only a residual whose bound does not pass
+takes a values-only SVD, so its value is the composition's operator norm
+bit for bit and every verdict is the exact one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, _largest_singular, identity_mats, identity_morphism, random_morphism
+from .hom import Morphism, certified_norms, identity_mats, identity_morphism, random_morphism
 from .module import ModuleSpec, ModuleVector, inner_product
 
 __all__ = [
@@ -73,21 +76,25 @@ def laplacian_mats(ins, outs) -> list:
     return [sum(t[1:], t[0]) for t in zip(*terms)]
 
 
-def square_residual_values(diffs, norms) -> tuple:
-    """(raw, relative) residual of D_{i+1} D_i = 0 for each consecutive pair i.
+def square_residual_values(diffs, norms, tol: float = 1e-9) -> tuple:
+    """(raw, relative, exact) residual of D_{i+1} D_i = 0 for each consecutive pair i.
 
     diffs[i] holds D_i's arrays (..., rows, cols), one per algebra block,
     with a leading axis for a stack of equal-shape summands, and norms[i]
     its operator norm (...).  raw is ||D_{i+1} D_i|| from one batched
-    product and one values-only SVD per block, relative is raw divided by
-    max(1, ||D_{i+1}|| ||D_i||); both are lists over the pairs.
+    product per block through certified_norms with the limit
+    tol * max(1, ||D_{i+1}|| ||D_i||), relative is raw divided by that max;
+    exact marks the values that are operator norms, the others being
+    Frobenius bounds with relative <= tol.  All three are lists over the pairs.
     """
-    raw = [
-        _largest_singular([a @ b for a, b in zip(low, high)])
-        for low, high in zip(diffs, diffs[1:])
-    ]
-    rel = [r / np.maximum(1.0, n_high * n_low) for r, n_low, n_high in zip(raw, norms, norms[1:])]
-    return raw, rel
+    raw, rel, exact = [], [], []
+    for low, high, n_low, n_high in zip(diffs, diffs[1:], norms, norms[1:]):
+        scale = np.maximum(1.0, n_high * n_low)
+        value, is_exact = certified_norms([a @ b for a, b in zip(low, high)], tol * scale)
+        raw.append(value)
+        rel.append(value / scale)
+        exact.append(is_exact)
+    return raw, rel, exact
 
 
 def require_squares(raw, rel, tol: float):
@@ -163,12 +170,15 @@ class Parametrix:
     green: Morphism
     projector: Morphism
 
-    def residuals(self) -> dict:
-        """Operator norms of gL + p - 1, Lg + p - 1, Lp, gp and p^2 - p.
+    def certified_residuals(self, tol: float = 1e-8) -> tuple:
+        """(values, exact) of gL + p - 1, Lg + p - 1, Lp, gp and p^2 - p, keyed by name.
 
         All three maps must be endomorphisms of the Laplacian's module.  Per
-        algebra block the five residual matrices are one (5, n, n) stack
-        with one values-only SVD; a map product x y is R_y R_x per block.
+        algebra block the five residual matrices are one (5, n, n) stack; a
+        map product x y is R_y R_x per block.  Each value is
+        hom.certified_norms' against tol: a Frobenius bound at most tol, or
+        where exact[name] is True the operator norm from one values-only
+        SVD per block.
         """
         lap, g, p = self.laplacian, self.green, self.projector
         _require_on(lap.source, (lap, g, p), f"parametrix of degree {self.degree}")
@@ -176,7 +186,13 @@ class Parametrix:
             np.stack([rl @ rg + rp - one, rg @ rl + rp - one, rp @ rl, rp @ rg, rp @ rp - rp])
             for rl, rg, rp, one in zip(lap.mats, g.mats, p.mats, identity_mats(lap.source))
         ]
-        return dict(zip(PARAMETRIX_RESIDUALS, _largest_singular(stacks).tolist()))
+        values, exact = certified_norms(stacks, tol)
+        names = PARAMETRIX_RESIDUALS
+        return dict(zip(names, values.tolist())), dict(zip(names, exact.tolist()))
+
+    def residuals(self, tol: float = 1e-8) -> dict:
+        """The values of certified_residuals(tol): at most tol as a bound, or exact."""
+        return self.certified_residuals(tol)[0]
 
     def verify(self, tol: float = 1e-8) -> bool:
         """Parametrix validity: the two resolvent identities and L p = 0.
@@ -184,7 +200,7 @@ class Parametrix:
         g p = 0 (hence idempotence of p) holds for the pseudoinverse
         construction but is not required of a user-supplied parametrix.
         """
-        r = self.residuals()
+        r = self.residuals(tol)
         keys = [
             "green_laplacian_plus_projector",
             "laplacian_green_plus_projector",
@@ -251,7 +267,9 @@ class HodgeIsomorphism:
 class HodgeReport:
     """Cohomology bookkeeping for one degree of a complex.
 
-    residuals are the parametrix identities of this degree alone; the
+    residuals are the parametrix identities of this degree alone, held to
+    the report's tol; residual_exact[name] is True where the value is the
+    operator norm and False where it is a Frobenius bound that passes.  The
     identities between neighbouring degrees are verify_chain_map's.
     """
 
@@ -263,6 +281,7 @@ class HodgeReport:
     free_rank: Optional[int]
     rank_margin: float
     residuals: dict
+    residual_exact: dict
     notes: tuple = field(default_factory=tuple)
 
 
@@ -312,9 +331,9 @@ class ChainComplex:
         raise IndexOutOfRange(f"differential index {i} outside -1..{self.top_degree}")
 
     def square_residuals(self, tol: float = 1e-9, strict: bool = False) -> list:
-        """Operator norms of D_{i+1} D_i, relative to the factor norms."""
+        """Norms of D_{i+1} D_i relative to the factor norms: a bound at most tol, or exact."""
         norms = [d.norm() for d in self.diffs]
-        raw, rel = square_residual_values([d.mats for d in self.diffs], norms)
+        raw, rel, _ = square_residual_values([d.mats for d in self.diffs], norms, tol)
         if strict:
             require_squares(raw, rel, tol)
         return [float(r) for r in rel]
@@ -456,6 +475,7 @@ class ChainComplex:
 
         par = self.parametrix(i, cutoff)
         free_rank = free_rank_of_projection(par.projector, tol)
+        residuals, exact = par.certified_residuals(tol)
         return HodgeReport(
             degree=i,
             module_dim=mod_dim,
@@ -464,7 +484,8 @@ class ChainComplex:
             dims_match=harmonic_dim == cohomology_dim,
             free_rank=free_rank,
             rank_margin=min(margin_lap, margin_in, margin_out),
-            residuals=par.residuals(),
+            residuals=residuals,
+            residual_exact=exact,
             notes=(
                 "dimensions are concrete complex dimensions of the shadow",
                 "ranges are closed at finite concrete dimension, so the "
@@ -479,9 +500,12 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
     For every differential D_i the family must satisfy p_{i+1} D_i = 0,
     D_i g_i = g_{i+1} D_i, D_i L_i = L_{i+1} D_i and D_i p_i = 0.  This is
     the only place these identities are computed: per differential and
-    algebra block the four residual matrices are one (4, rows, cols) stack
-    with one values-only SVD.  The maps of parametrices i and i + 1 must be
-    endomorphisms of D_i's source and target, else SpecMismatch.
+    algebra block the four residual matrices are one (4, rows, cols) stack,
+    normed by hom.certified_norms against tol, and each degree's entry maps
+    "exact" to {name: True where the value is the operator norm, False
+    where it is a Frobenius bound at most tol}.  The maps of parametrices i
+    and i + 1 must be endomorphisms of D_i's source and target, else
+    SpecMismatch.
     """
     parametrices = list(parametrices)
     if len(parametrices) != complex_.top_degree + 1:
@@ -512,8 +536,13 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
                 high.projector.mats,
             )
         ]
-        values = _largest_singular(stacks).tolist()
-        degrees.append({"degree": i, **dict(zip(CHAIN_MAP_RESIDUALS, values))})
+        values, exact = certified_norms(stacks, tol)
+        values = values.tolist()
+        degrees.append({
+            "degree": i,
+            **dict(zip(CHAIN_MAP_RESIDUALS, values)),
+            "exact": dict(zip(CHAIN_MAP_RESIDUALS, exact.tolist())),
+        })
         worst = max(worst, *values)
     return {"degrees": degrees, "max_residual": worst, "passed": worst <= tol}
 

@@ -7,7 +7,12 @@ Subcommands:
   ellipticity FILE     exactness scan of a symbol sample set
   torus-demo           de Rham, embedding and regularity suites on a torus
 
-Every pass/fail line names the identity it checks by its formula.  Exit code
+Every pass/fail line names the identity it checks by its formula.  A
+residual check of check-complex, hodge or parametrix also says which norm its
+value is: the exact operator norm, or a Frobenius bound, an upper bound on
+it that already passes (chain.square_residual_values,
+Parametrix.certified_residuals, verify_chain_map).  A failing value is
+always the operator norm.  Exit code
 0 means all checks passed, 1 means some verified identity or expected value
 failed, 2 means the input could not be parsed or validated, or a linear
 algebra routine failed on it.  With --format json the report is
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import serial
 from .algebra import AlgebraSpec
-from .chain import verify_chain_map
+from .chain import square_residual_values, verify_chain_map
 from .errors import CStarHodgeError, HypothesisViolated, ValidationError
 from .module import ModuleSpec
 from .symbol import elliptic_scan
@@ -87,6 +92,10 @@ class RunConfig:
         }
 
 
+# How a residual check's value was computed: exact[name] -> label
+NORM_LABELS = {True: "operator norm", False: "Frobenius bound"}
+
+
 def _check_le(name: str, value: float, bound: float) -> dict:
     return {
         "name": name,
@@ -95,6 +104,11 @@ def _check_le(name: str, value: float, bound: float) -> dict:
         "bound": float(bound),
         "passed": bool(value <= bound),
     }
+
+
+def _residual_check(name: str, value: float, exact: bool, tol: float) -> dict:
+    """_check_le with "norm" naming the value's norm (NORM_LABELS)."""
+    return {**_check_le(name, value, tol), "norm": NORM_LABELS[bool(exact)]}
 
 
 def _check_eq(name: str, value, expected) -> dict:
@@ -107,8 +121,10 @@ def _check_eq(name: str, value, expected) -> dict:
     }
 
 
-def _residual_checks(residuals: dict, tol: float) -> list:
-    return [_check_le(RESIDUAL_NAMES[key], residuals[key], tol) for key in sorted(residuals)]
+def _residual_checks(residuals: dict, exact: dict, tol: float) -> list:
+    return [
+        _residual_check(RESIDUAL_NAMES[key], residuals[key], exact[key], tol) for key in sorted(residuals)
+    ]
 
 
 def _section_passed(section: dict) -> bool:
@@ -135,9 +151,11 @@ def _finish(report: dict) -> tuple:
 
 def cmd_check_complex(args, config: RunConfig) -> tuple:
     cx = serial.load_complex(args.file, tol=config.tolerance)
+    norms = [d.norm() for d in cx.diffs]
+    _, rel, exact = square_residual_values([d.mats for d in cx.diffs], norms, config.tolerance)
     checks = [
-        _check_le(f"D[{i + 1}] D[{i}] = 0", r, config.tolerance)
-        for i, r in enumerate(cx.square_residuals())
+        _residual_check(f"D[{i + 1}] D[{i}] = 0", r, e, config.tolerance)
+        for i, (r, e) in enumerate(zip(rel, exact))
     ]
     report = {
         "schema": serial.REPORT_SCHEMA,
@@ -161,7 +179,7 @@ def cmd_hodge(args, config: RunConfig) -> tuple:
             reps.append(cx.cohomology_report(i, cutoff=config.cutoff, tol=config.tolerance))
     sections = []
     for i, rep in zip(degrees, reps):
-        checks = _residual_checks(rep.residuals, config.tolerance)
+        checks = _residual_checks(rep.residuals, rep.residual_exact, config.tolerance)
         checks.append(
             _check_eq("harmonic dim = cohomology dim", rep.harmonic_dim, rep.cohomology_dim)
         )
@@ -184,10 +202,11 @@ def cmd_hodge(args, config: RunConfig) -> tuple:
         for key, value in sorted(entry.items()):
             if key in RESIDUAL_NAMES:
                 cm_checks.append(
-                    _check_le(
+                    _residual_check(
                         RESIDUAL_NAMES[key].replace("[i]", f"[{entry['degree']}]")
                         .replace("[i+1]", f"[{entry['degree'] + 1}]"),
                         value,
+                        entry["exact"][key],
                         config.tolerance,
                     )
                 )
@@ -209,7 +228,7 @@ def cmd_parametrix(args, config: RunConfig) -> tuple:
     cx = serial.load_complex(args.file, tol=config.tolerance)
     with _at_degree(args.degree):
         par = cx.parametrix(args.degree, cutoff=config.cutoff)
-        checks = _residual_checks(par.residuals(), config.tolerance)
+        checks = _residual_checks(*par.certified_residuals(config.tolerance), config.tolerance)
         info = {
             "degree": args.degree,
             "green_norm": par.green.norm(),
@@ -443,8 +462,9 @@ def render_text(report: dict) -> str:
         for c in section["checks"]:
             status = "pass" if c["passed"] else "FAIL"
             if c["kind"] == "le":
+                norm = f" ({c['norm']})" if "norm" in c else ""
                 lines.append(
-                    f"  {c['name']}: residual {c['value']:.3e} <= {c['bound']:.3e}  {status}"
+                    f"  {c['name']}: residual {c['value']:.3e}{norm} <= {c['bound']:.3e}  {status}"
                 )
             else:
                 lines.append(

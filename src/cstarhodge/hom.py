@@ -25,11 +25,14 @@ largest value of its own full SVDs, so neither result depends on which of
 the two ran first.  The functions on per-block arrays (..., rows, cols)
 serve a single map and a stack of equal-shape maps alike: a stack (torus
 modes, symbol samples) takes one batched SVD per block and never becomes
-Morphisms; chain's parametrix and chain-map residuals stack a degree's or a
-differential's residual matrices the same way, one SVD per block.  The rank
-decision (singular_rank) runs on numpy for stacked spectra and as a
-plain-Python loop for one spectrum, with the same result bit for bit.  A
-map between projective modules must not leak outside them,
+Morphisms.  A residual that only has to stay below a limit (chain's
+parametrix, chain-map and D D = 0 stacks, projection_residuals) goes
+through certified_norms: its largest blockwise Frobenius norm, an upper
+bound on the operator norm from one einsum per block, and the exact SVD
+value only where that bound does not already pass, so every verdict is the
+exact one.  The rank decision (singular_rank) runs on numpy for stacked
+spectra and as a plain-Python loop for one spectrum, with the same result
+bit for bit.  A map between projective modules must not leak outside them,
 R_b = P_source,b R_b P_target,b (projection_residuals).  The shadow
 (``embed``) and its pullback ``morphism_from_concrete`` stay as the
 oracles the tests check these numerics against.
@@ -48,6 +51,7 @@ from .module import ModuleSpec, ModuleVector
 __all__ = [
     "Morphism",
     "block_singular_values",
+    "certified_norms",
     "identity_morphism",
     "merged_singular_values",
     "morphism_from_concrete",
@@ -86,13 +90,79 @@ def _largest_singular(mats) -> np.ndarray:
     return np.max(tops, axis=0) if tops else np.zeros(mats[0].shape[:-2])
 
 
-def projection_residuals(mats, source: ModuleSpec, target: ModuleSpec, norms):
+_EPS = float(np.finfo(float).eps)
+
+# Below this a Frobenius bound's squares may have fallen under the smallest
+# normal number, where they keep only an absolute precision: about 1.0e-146.
+_TINY_BOUND = math.sqrt(float(np.finfo(float).tiny) / _EPS)
+
+# A bound passes only below limit * (1 - 4 eps).  Where the limit is
+# tol * scale and the verdict reads value / scale <= tol, a passing bound
+# then passes that division too, whichever way either product rounds.
+_LIMIT_SHRINK = 1.0 - 4 * _EPS
+
+
+def _roundoff_factor(rows: int, cols: int) -> float:
+    """Headroom that keeps a computed Frobenius norm at or above the SVD's own value.
+
+    The k = 2 rows cols squares of the real view are summed with a relative
+    error below k eps / 2, the square root adds half an ulp, and the SVD's
+    largest value carries its own error of order max(rows, cols) eps, for
+    which 8 max(rows, cols) eps leaves room.  On rank-1 blocks, where the two
+    norms agree in exact arithmetic, the raw Frobenius norm comes out up to
+    4 ulp below the SVD's value at 8 x 8 and 13 ulp at 72 x 72.
+    """
+    return 1.0 + (2 * rows * cols + 8 * max(rows, cols)) * _EPS
+
+
+def certified_norms(mats, limit) -> tuple:
+    """(values, exact): each map's operator norm bound that decides norm <= limit as the SVD does.
+
+    mats are per-block complex arrays (..., rows, cols) and limit broadcasts
+    over the leading axes.  A map's value is its largest blockwise Frobenius
+    norm (||R||_2 <= ||R||_F), one einsum per block over the real view,
+    times _roundoff_factor, so it is never below the SVD's value.  A map
+    takes the exact path, _largest_singular, where that bound is not finite,
+    exceeds limit * _LIMIT_SHRINK, or lies below _TINY_BOUND while some
+    entry is nonzero (squares that underflowed).  exact marks those maps and
+    the all-zero maps, whose bound, 0, is their norm.  So a value passes the
+    limit only where the operator norm does, and a failing value is
+    _largest_singular's bit for bit.
+    """
+    lead = mats[0].shape[:-2]
+    items = math.prod(lead)
+    flats, bound = [], None
+    for r in mats:
+        rows, cols = r.shape[-2:]
+        flat = np.ascontiguousarray(r).reshape(items, rows * cols).view(float)
+        flats.append(flat)
+        b = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        b *= _roundoff_factor(rows, cols)
+        bound = b if bound is None else np.maximum(bound, b, out=bound)
+    # the decision runs on Python floats: a stack holds a handful of maps
+    values = bound.tolist()
+    if isinstance(limit, np.ndarray) and limit.ndim:
+        limits = np.broadcast_to(limit, lead).ravel().tolist()
+    else:
+        limits = [float(limit)] * items
+    exact = [not (_TINY_BOUND <= v <= lim * _LIMIT_SHRINK and v < math.inf) for v, lim in zip(values, limits)]
+    # a zero bound is the norm unless squares underflowed
+    svd = [k for k, e in enumerate(exact) if e and (values[k] != 0 or any(f[k].any() for f in flats))]
+    if svd:
+        norms = _largest_singular([r.reshape((items,) + r.shape[-2:])[svd] for r in mats])
+        for k, v in zip(svd, norms.tolist()):
+            values[k] = v
+    return np.array(values).reshape(lead), np.array(exact, dtype=bool).reshape(lead)
+
+
+def projection_residuals(mats, source: ModuleSpec, target: ModuleSpec, norms, tol: float = 1e-9):
     """||R - P_source R P_target|| / max(1, ||R||) for maps in per-block arrays (..., rows, cols).
 
-    norms holds the maps' operator norms (...).  The residual's norm is the
-    operator norm over all blocks, as in the D D = 0 check.  A free module's
-    projection is the identity, so maps between free modules give zeros
-    without any product.
+    norms holds the maps' operator norms (...).  The residual's norm is
+    certified_norms' against the limit tol * max(1, ||R||): a Frobenius
+    bound where that passes, else the operator norm over all blocks, so a
+    value above tol is exact.  A free module's projection is the identity,
+    so maps between free modules give zeros without any product.
     """
     if source.projection is None and target.projection is None:
         return np.zeros(np.shape(norms))
@@ -101,7 +171,8 @@ def projection_residuals(mats, source: ModuleSpec, target: ModuleSpec, norms):
         wrapped = [p @ r for p, r in zip(source.projection, wrapped)]
     if target.projection is not None:
         wrapped = [r @ p for r, p in zip(wrapped, target.projection)]
-    return _largest_singular([r - w for r, w in zip(mats, wrapped)]) / np.maximum(1.0, norms)
+    scale = np.maximum(1.0, norms)
+    return certified_norms([r - w for r, w in zip(mats, wrapped)], tol * scale)[0] / scale
 
 
 def singular_rank(svals, cutoff: float):
@@ -335,7 +406,7 @@ class Morphism:
 
     def respects_projections(self, tol: float = 1e-9) -> bool:
         """T = P_source T P_target within tol, relative: T does not leak outside its modules."""
-        return bool(projection_residuals(self.mats, self.source, self.target, self.norm()) <= tol)
+        return bool(projection_residuals(self.mats, self.source, self.target, self.norm(), tol) <= tol)
 
     def __repr__(self):
         return (

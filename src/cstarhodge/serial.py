@@ -366,7 +366,7 @@ def complex_from_data(data, tol: float = 1e-9) -> ChainComplex:
             )
             diffs.append(Morphism(modules[i], modules[i + 1], mats))
     for i, d in enumerate(diffs):
-        leak = float(projection_residuals(d.mats, d.source, d.target, d.norm()))
+        leak = float(projection_residuals(d.mats, d.source, d.target, d.norm(), tol))
         if leak > tol:
             _fail(f"differentials[{i}]", str(ProjectionLeak(leak)))
     try:

@@ -231,13 +231,14 @@ class SampleSet:
         self.svals = [_freeze(merged_singular_values(block_singular_values(st), sizes)) for st in self.maps]
         norms = [s[:, 0] if s.shape[-1] else np.zeros(count) for s in self.svals]
         leaks = np.reshape([
-            projection_residuals(st, a, b, n)
+            projection_residuals(st, a, b, n, tol)
             for st, a, b, n in zip(self.maps, self.fibers, self.fibers[1:], norms)
         ], (len(self.maps), count))
         leaking = (leaks > tol).any(axis=0)
         # D D = 0 is checked on the samples ahead of the first leak, so errors come in sample order
         first = int(np.argmax(leaking)) if leaking.any() else count
-        require_squares(*([r[:first] for r in v] for v in square_residual_values(self.maps, norms)), tol)
+        raw, rel, _ = square_residual_values(self.maps, norms, tol)
+        require_squares([r[:first] for r in raw], [r[:first] for r in rel], tol)
         if first < count:
             k = int(np.argmax(leaks[:, first] > tol))
             raise ProjectionLeak(leaks[k, first], index=first, degree=k)

@@ -61,15 +61,11 @@ __all__ = [
 # Distinct (n, t, |alpha|, radius) lattice sums kept; a CLI run needs two.
 LATTICE_CACHE_SIZE = 64
 
-# Largest band (2N + 1)^n a geometry enumerates; larger ones are refused
-# before any mode is listed.
-MAX_MODES = 65536
-
 # Largest number of (mode, exterior slot) pairs over all form degrees,
-# modes * 2^n, that a geometry accepts.  With band 0 there is one mode, but
-# degree k still carries C(n, k) slots: on a 2-core machine the de Rham
-# suite takes about 5 s and 240 MB at n = 12 (4096 pairs), 33 s and 605 MB
-# at n = 13.
+# modes * 2^n, that a geometry accepts, so at most 2048 modes.  With band 0
+# there is one mode, but degree k still carries C(n, k) slots: on a 2-core
+# machine the de Rham suite takes about 5 s and 240 MB at n = 12 (4096
+# pairs), 33 s and 605 MB at n = 13.
 MAX_FORM_SLOTS = 4096
 
 # Largest grid points * modes that embedding_check evaluates: the phase
@@ -81,10 +77,9 @@ class TorusGeometry:
     """Torus dimension, Fourier band and fiber module.
 
     Raises ValidationError for a dimension below 1, a negative band limit,
-    more than MAX_MODES modes, more than MAX_FORM_SLOTS modes times 2^n
-    exterior slots, or a largest form fiber, C(n, n // 2) copies of the
-    fiber, whose rank * dim(A) exceeds MAX_MODULE_DIM, before enumerating
-    anything.
+    more than MAX_FORM_SLOTS modes times 2^n exterior slots, or a largest
+    form fiber, C(n, n // 2) copies of the fiber, whose rank * dim(A)
+    exceeds MAX_MODULE_DIM, before enumerating anything.
     """
 
     def __init__(self, dimension: int, band_limit: int, fiber: ModuleSpec):
@@ -95,11 +90,10 @@ class TorusGeometry:
         if band < 0:
             raise ValidationError(f"band limit must be nonnegative, got {band}")
         side = 2 * band + 1
-        # side >= 3 once band > 0, so an exponent of bit_length(cap) already
-        # exceeds the cap; the clamp keeps a huge n from a huge power
-        if side ** min(n, MAX_MODES.bit_length()) > MAX_MODES:
-            raise ValidationError(f"{side}^{n} modes exceed the cap of {MAX_MODES}")
-        if side**n * 2 ** min(n, MAX_FORM_SLOTS.bit_length()) > MAX_FORM_SLOTS:
+        # 2^e already exceeds the cap at e = bit_length(cap), so clamping both
+        # exponents there decides the same; it keeps a huge n from a huge power
+        e = min(n, MAX_FORM_SLOTS.bit_length())
+        if side**e * 2**e > MAX_FORM_SLOTS:
             raise ValidationError(
                 f"{side}^{n} modes times 2^{n} exterior slots exceed the cap of "
                 f"{MAX_FORM_SLOTS}"

@@ -316,7 +316,7 @@ def test_cli_rejects_non_finite_tolerance_and_cutoff(tmp_path, flags, capsys):
     [
         (["--n", "0", "--band", "1"], "dimension must be at least 1"),
         (["--n", "1", "--band", "-1"], "band limit must be nonnegative"),
-        (["--n", "12", "--band", "3"], "7^12 modes exceed the cap"),
+        (["--n", "12", "--band", "3"], "7^12 modes times 2^12 exterior slots exceed the cap of 4096"),
         (["--n", "1", "--band", "1", "--t", "inf"], "finite Sobolev index"),
     ],
     ids=["n0", "negative-band", "mode-cap", "t-inf"],

@@ -1,13 +1,17 @@
 """Stacked parametrix and chain-map residuals against Morphism compositions.
 
 Parametrix.residuals and verify_chain_map compute each identity on per-block
-arrays, one values-only SVD per block for a whole degree or differential.
-The oracles below are the composition formulas they replaced: each residual
-a chain of Morphism products and sums followed by its own norm().  The
-stacked values must equal them bit for bit, and a parametrix that does not
-act on its module must still raise SpecMismatch.
+arrays, one stack for a whole degree or differential, normed by
+hom.certified_norms.  The oracles below are the composition formulas they
+replaced: each residual a chain of Morphism products and sums followed by
+its own norm().  At tol = 0 every nonzero residual takes the exact path, so
+the stacked values must equal the oracles bit for bit; at the default tol a
+value may be a Frobenius bound, at least the oracle and at most
+sqrt(min(rows, cols)) times it.  A parametrix that does not act on its
+module must still raise SpecMismatch.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex, Parametrix, random_complex, verify_chain_map
 from cstarhodge.errors import SpecMismatch
-from cstarhodge.hom import Morphism, identity_morphism, random_morphism, singular_rank
+from cstarhodge.hom import Morphism, _roundoff_factor, identity_morphism, random_morphism, singular_rank
 from cstarhodge.module import ModuleSpec
 from cstarhodge.util import rng_for
 from test_diagnostics import _complexes as diagnostic_complexes
@@ -48,8 +52,10 @@ def oracle_chain_map(cx, parametrices, tol):
             "laplacian_commutes": (d @ low.laplacian - high.laplacian @ d).norm(),
             "differential_after_projector": (d @ low.projector).norm(),
         }
-        degrees.append(entry)
         worst = max(worst, *(v for key, v in entry.items() if key != "degree"))
+        # with tol = 0 no residual passes as a bound: each value is its operator norm
+        entry["exact"] = {key: True for key in entry if key != "degree"}
+        degrees.append(entry)
     return {"degrees": degrees, "max_residual": worst, "passed": worst <= tol}
 
 
@@ -80,9 +86,37 @@ def test_residuals_are_bitwise_the_compositions(blocks):
             one = identity_morphism(par.laplacian.source)
             want = one - par.green @ par.laplacian
             assert all(np.array_equal(a, b) for a, b in zip(par.projector.mats, want.mats))
-            assert _bits(par.residuals()) == _bits(oracle_residuals(par))
-        rep = verify_chain_map(cx, family, tol=1e-8)
-        assert _bits(rep) == _bits(oracle_chain_map(cx, family, 1e-8))
+            values, exact = par.certified_residuals(tol=0.0)
+            assert _bits(values) == _bits(oracle_residuals(par))
+            assert all(exact.values())
+        rep = verify_chain_map(cx, family, tol=0.0)
+        assert _bits(rep) == _bits(oracle_chain_map(cx, family, 0.0))
+        assert verify_chain_map(cx, family)["passed"]
+
+
+def _within_bound(value: float, oracle: float, mats) -> bool:
+    """oracle <= value <= sqrt(min(rows, cols)) * oracle * roundoff, over the largest block."""
+    rows, cols = max(r.shape[-2:] for r in mats)
+    return oracle <= value <= math.sqrt(min(rows, cols)) * oracle * _roundoff_factor(rows, cols) ** 2
+
+
+@pytest.mark.parametrize("blocks", ORACLE_ALGEBRAS)
+def test_residuals_at_the_default_tol_bound_the_compositions(blocks):
+    rng = rng_for(16, "residual-bounds", len(blocks) * 10 + blocks[-1])
+    for cx in _complexes(AlgebraSpec(blocks), rng):
+        family = cx.parametrix_family()
+        for par in family:
+            values, exact = par.certified_residuals()
+            oracle = oracle_residuals(par)
+            for key, value in values.items():
+                assert _within_bound(value, oracle[key], par.laplacian.mats)
+                assert exact[key] or value <= 1e-8
+        rep = verify_chain_map(cx, family)
+        for entry, want, d in zip(rep["degrees"], oracle_chain_map(cx, family, 1e-8)["degrees"], cx.diffs):
+            for key, value in entry.items():
+                if key not in ("degree", "exact"):
+                    assert _within_bound(value, want[key], d.mats)
+                    assert entry["exact"][key] or value <= 1e-8
         assert rep["passed"]
 
 
@@ -123,23 +157,27 @@ def _hodge_svd_calls(cx, monkeypatch) -> int:
 
 
 def test_hodge_svd_count(monkeypatch):
-    """3 SVDs per degree and block for the reports, 1 per differential and block for the chain map.
+    """2 SVDs per degree and block for the reports, none for the residual stacks.
 
-    A report takes the Laplacian's singular values, its pseudoinverse and
-    the stacked residuals; the differentials' singular values were taken
-    when the complex was built.  A block with no rows or no columns takes
-    none of them.
+    A report takes the Laplacian's singular values and its pseudoinverse;
+    the differentials' singular values were taken when the complex was
+    built.  The parametrix and chain-map residual stacks of a well-posed
+    complex pass as Frobenius bounds, so they take no SVD (they took one
+    per degree and block and one per differential and block, 30 in all
+    here, when every residual was an exact operator norm).  A block with no
+    rows or no columns takes none.
     """
     alg = AlgebraSpec((1, 2))
     cx, plan = random_complex(rng_for(14, "svd-count", 1), algebra=alg)
     assert plan["module_ranks"] == [1, 3, 4, 3]  # no rank-0 module, whose blocks take no SVD
     blocks = len(alg.block_sizes)
-    assert _hodge_svd_calls(cx, monkeypatch) == 3 * len(cx.modules) * blocks + len(cx.diffs) * blocks
-    # A^2 -> A^0 -> A^2 with zero maps: degrees 0 and 2 take 3 per block, the
-    # rank-0 degree and both differentials (every block empty) none
+    assert _hodge_svd_calls(cx, monkeypatch) == 2 * len(cx.modules) * blocks == 16
+    # A^2 -> A^0 -> A^2 with zero maps: degrees 0 and 2 take 2 per block, the
+    # rank-0 degree and both differentials (every block empty) none; every
+    # residual is exactly zero, which its zero bound certifies without an SVD
     mods = [ModuleSpec(alg, 2), ModuleSpec(alg, 0), ModuleSpec(alg, 2)]
     empty = ChainComplex(mods, [Morphism.zero(a, b) for a, b in zip(mods, mods[1:])])
-    assert _hodge_svd_calls(empty, monkeypatch) == 12
+    assert _hodge_svd_calls(empty, monkeypatch) == 8
 
 
 SUBNORMALS = [5e-324, 1e-320, 2.5e-310, 2.2250738585072009e-308]

@@ -53,12 +53,15 @@ def test_geometry_validation(monkeypatch):
             TorusGeometry(n, band, SCALAR)
 
 
-def test_mode_cap_boundary(monkeypatch):
-    monkeypatch.setattr(torus, "MAX_MODES", 25)
-    assert TorusGeometry(2, 2, SCALAR).num_modes == 25
-    assert TorusGeometry(1, 12, SCALAR).num_modes == 25
-    for n, band in ((2, 3), (3, 2), (1, 13)):
-        with pytest.raises(ValidationError, match="cap of 25"):
+def test_form_slot_cap_at_4096():
+    # (2N + 1)^n 2^n = 4096 only at n = 12, band 0; the largest accepted band
+    # in one and two dimensions, then the next size up, is refused
+    assert torus.MAX_FORM_SLOTS == 4096
+    assert TorusGeometry(12, 0, SCALAR).num_modes == 1
+    assert TorusGeometry(1, 1023, SCALAR).num_modes == 2047  # 4094 pairs
+    assert TorusGeometry(2, 15, SCALAR).num_modes == 961  # 3844 pairs
+    for n, band in ((13, 0), (12, 1), (1, 1024), (2, 16)):
+        with pytest.raises(ValidationError, match="exceed the cap of 4096"):
             TorusGeometry(n, band, SCALAR)
 
 
