@@ -313,6 +313,7 @@ class ChainComplex:
         self._padded = [Morphism.zero(zero, modules[0]), *differentials, Morphism.zero(modules[-1], zero)]
         self._laplacians: dict = {}
         self._parametrices: dict = {}
+        self._squares: dict = {}
         self.square_residuals(tol, strict=True)
 
     @property
@@ -331,9 +332,14 @@ class ChainComplex:
         raise IndexOutOfRange(f"differential index {i} outside -1..{self.top_degree}")
 
     def square_residuals(self, tol: float = 1e-9, strict: bool = False) -> list:
-        """Norms of D_{i+1} D_i relative to the factor norms: a bound at most tol, or exact."""
-        norms = [d.norm() for d in self.diffs]
-        raw, rel, _ = square_residual_values([d.mats for d in self.diffs], norms, tol)
+        """Norms of D_{i+1} D_i relative to the factor norms: a bound at most tol, or exact.
+
+        square_residual_values' (raw, rel, exact) are kept per tol in _squares.
+        """
+        if tol not in self._squares:
+            norms = [d.norm() for d in self.diffs]
+            self._squares[tol] = square_residual_values([d.mats for d in self.diffs], norms, tol)
+        raw, rel, _ = self._squares[tol]
         if strict:
             require_squares(raw, rel, tol)
         return [float(r) for r in rel]

@@ -12,9 +12,9 @@ the entrywise-starred transpose.
 A map is stored per algebra block.  Over A = sum_b M_{n_b}, T is exactly
 one complex (m*n_b) x (n*n_b) matrix R_b per block (``Morphism.mats``),
 with entry t_ij's block at R_b.reshape(m, n_b, n, n_b)[i, :, j, :]
-(``_entry_view``, which serial's matrix reader and writer share).  A
-vector's row matrix U_b maps to U_b R_b, composition is one matrix product
-per block and the adjoint is the conjugate transpose of each R_b.
+(``_entry_view``).  A vector's row matrix U_b maps to U_b R_b,
+composition is one matrix product per block and the adjoint is the
+conjugate transpose of each R_b.
 Flattening each module by ModuleVector.vec turns T into its dense shadow
 sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with

@@ -11,10 +11,9 @@ which is conjugate-linear in the first slot and satisfies
 
 A vector keeps one n_b x (m*n_b) row matrix U_b per algebra block
 (``ModuleVector.rows``): the blocks of its m entries side by side, entry i's
-block at U_b.reshape(n_b, m, n_b)[:, i, :] (``_entry_slots``, which serial's
-section reader and writer share).  A right-acting module map A^m -> A^n is
-one complex matrix R_b of size (m*n_b) x (n*n_b) per block, and so is a
-module's projection (m = n = rank).  So a map sends U_b to U_b R_b, the left
+block at U_b.reshape(n_b, m, n_b)[:, i, :] (``_entry_slots``).  A
+right-acting module map A^m -> A^n is one complex matrix R_b of size
+(m*n_b) x (n*n_b) per block, and so is a module's projection (m = n = rank).  So a map sends U_b to U_b R_b, the left
 action of a is a_b U_b, and the inner product (u, v) has block V_b U_b*.
 ``vec`` flattens a vector to C^{rank*d}; under that flattening the complex
 trace of the A-valued inner product becomes the ordinary Hermitian product,

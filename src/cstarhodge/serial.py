@@ -13,13 +13,13 @@ ValidationError with the offending location; malformed JSON raises
 ParseError.  Module maps are read as stacks: all the maps of one shape
 (one degree of a sample set, or a single map as the stack of one) become
 one (count, rows*nb, cols*nb) array per algebra block from one array
-conversion, after each level of nesting and then every number (an int or
-a float, not a bool, finite) is checked on the whole level at once.  Only
-when that check fails does a walker go through the data number by number,
-in file order, to name the first malformed location.  A sample set loads
-as a SampleSet straight from those stacks: its checks run on the stacks,
-and a failure names the first failing sample in file order, ahead of any
-malformed number after it.  A map that leaks outside a projective module
+conversion, after each level of nesting and then every number (an int or a
+float, not a bool, finite) is checked on the whole level at once.  A level
+that fails is cut before its first failing item and the deeper levels go
+on with that prefix, so the last fault found is the first malformed
+location in file order.  A sample set loads as a SampleSet straight from
+the stacks before it, so a failing sample is named ahead of a malformed
+location after it.  A map that leaks outside a projective module
 (R_b != P_source,b R_b P_target,b beyond the relative tolerance D D = 0
 is held to) is refused by name, differentials[k] or samples[j].maps[k];
 maps between free modules skip that check.  A module whose rank times the
@@ -55,8 +55,8 @@ import numpy as np
 from .algebra import AlgebraSpec
 from .chain import ChainComplex
 from .errors import CStarHodgeError, NotAComplex, ParseError, ProjectionLeak, ValidationError
-from .hom import Morphism, _entry_view, identity_morphism, projection_residuals
-from .module import MAX_MODULE_DIM, ModuleSpec, _entry_slots
+from .hom import Morphism, identity_morphism, projection_residuals
+from .module import MAX_MODULE_DIM, ModuleSpec
 from .symbol import SampleSet
 from .torus import TorusGeometry, TorusSection
 
@@ -105,95 +105,99 @@ def _get(data, key: str, where: str):
     return data[key]
 
 
-def _number(v, where: str) -> float:
+def _number_fault(v) -> Optional[str]:
+    """Why v is not a finite number (an int or a float, not a bool), or None."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(where, f"expected a number, got {type(v).__name__}")
+        return f"expected a number, got {type(v).__name__}"
     try:
         x = float(v)
     except OverflowError:  # an integer literal beyond the float range
         x = math.inf
-    if not math.isfinite(x):
-        _fail(where, f"expected a finite number, got {x!r}")
-    return x
+    return None if math.isfinite(x) else f"expected a finite number, got {x!r}"
 
 
-def _complex_from(v, where: str) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        _fail(where, "complex numbers are two-element arrays [re, im]")
-    return complex(_number(v[0], where), _number(v[1], where))
+def _unnest(items: list, lengths) -> tuple:
+    """items' elements, one level per length, and the (level, index) of the last fault found, or None.
 
-
-def _block_into(out: np.ndarray, data, where: str):
-    """Read an nb x nb block of complex numbers into the view out."""
-    nb = out.shape[0]
-    if not isinstance(data, list) or len(data) != nb:
-        _fail(where, f"expected {nb} rows")
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != nb:
-            _fail(where, f"row {r}: expected {nb} entries")
-        for c, v in enumerate(row):
-            out[r, c] = _complex_from(v, f"{where}[{r}][{c}]")
-
-
-def _element_into(outs, data, where: str):
-    """Read an algebra element into one nb x nb view per algebra block."""
-    if not isinstance(data, list) or len(data) != len(outs):
-        _fail(where, f"expected {len(outs)} algebra blocks")
-    for b, (out, blk) in enumerate(zip(outs, data)):
-        _block_into(out, blk, f"{where}.block{b}")
-
-
-def _unnest(items: list, lengths) -> Optional[list]:
-    """items' elements, one level per length, when each level holds lists of exactly that length."""
-    for length in lengths:
+    Each level must hold lists of exactly its length.  A level that does not
+    is cut before its first failing item, so a fault found at a deeper level
+    lies earlier in the file: the last one found is the first in file order.
+    """
+    fault = None
+    for level, length in enumerate(lengths):
         if not set(map(type, items)) <= {list} or not set(map(len, items)) <= {length}:
-            return None
+            bad = next((t for t, x in enumerate(items) if not isinstance(x, list) or len(x) != length), None)
+            if bad is not None:
+                fault, items = (level, bad), items[:bad]
         items = list(chain.from_iterable(items))
-    return items
+    return items, fault
 
 
-def _element_stacks(sizes, elements: list) -> Optional[list]:
-    """Per algebra block, the (count, nb, nb) complex array of count algebra elements.
+def _element_stacks(sizes, elements: list, where) -> tuple:
+    """Per algebra block, the (count, nb, nb) complex array of algebra elements, and the first fault.
 
-    Every level of the nesting is checked at once, then every number (an
-    int or a float, not a bool, inside the float range and finite), with one
-    array conversion per block.  None when anything is off, so that the
-    caller can walk the data to name the location.
+    Each level of the nesting, then every number (an int or a float, not a
+    bool, finite), is checked at once, with one array conversion per block.
+    The arrays stop before the first malformed location in file order, which
+    the ValidationError names (where(e) names element e), else None.  Blocks
+    go in order, each on the elements before the faults found so far.
     """
-    blocks = _unnest(elements, (len(sizes),))
-    if blocks is None:
-        return None
-    out = []
+    blocks, fault = _unnest(elements, (len(sizes),))
+    error = None if fault is None else ValidationError(f"{where(fault[1])}: expected {len(sizes)} algebra blocks")
+    count = len(blocks) // len(sizes)
+    arrays = []
     for b, nb in enumerate(sizes):
-        numbers = _unnest(blocks[b :: len(sizes)], (nb, nb, 2))
-        if numbers is None or not set(map(type, numbers)) <= {int, float}:
-            return None
+        numbers, fault = _unnest(blocks[b : count * len(sizes) : len(sizes)], (nb, nb, 2))
+        why = "complex numbers are two-element arrays [re, im]"
         try:
-            values = np.array(numbers, dtype=float)
+            values = np.array(numbers, dtype=float) if set(map(type, numbers)) <= {int, float} else None
         except OverflowError:  # an integer literal beyond the float range
-            return None
-        if not np.isfinite(values).all():
-            return None
-        out.append(values.view(complex).reshape(-1, nb, nb))
-    return out
+            values = None
+        if values is None or not np.isfinite(values).all():
+            bad = next((t for t, v in enumerate(numbers) if _number_fault(v)), len(numbers))
+            if bad < len(numbers):  # a number's location is its [re, im] pair's
+                fault, why = (2, bad // 2), _number_fault(numbers[bad])
+            values = np.array(numbers[:bad], dtype=float)
+        arrays.append(values)
+        if fault is not None:
+            level, index = fault
+            count, rest = divmod(index, nb**level)
+            name = f"{where(count)}.block{b}"
+            error = ValidationError((
+                f"{name}: expected {nb} rows",
+                f"{name}: row {rest}: expected {nb} entries",
+                f"{name}[{rest // nb}][{rest % nb}]: {why}",
+            )[level])
+    return [v[: 2 * count * nb * nb].view(complex).reshape(count, nb, nb) for nb, v in zip(sizes, arrays)], error
 
 
-def _matrix_stacks(algebra: AlgebraSpec, matrices: list, rows: int, cols: int) -> Optional[list]:
-    """Per block, the R_b of count rows x cols matrices as one (count, rows*nb, cols*nb) stack.
+def _matrix_stacks(algebra: AlgebraSpec, matrices: list, rows: int, cols: int, where) -> tuple:
+    """Per block, the R_b of rows x cols matrices as one (count, rows*nb, cols*nb) stack, and the first fault.
 
-    None when the data is malformed anywhere (see _element_stacks).
+    As _element_stacks, with where(j) naming matrix j; all of a matrix's
+    rows are checked before any of its entries.
     """
-    entries = _unnest(matrices, (rows, cols))
-    elements = None if entries is None else _element_stacks(algebra.block_sizes, entries)
-    if elements is None:
-        return None
-    count = len(matrices)
+    size = rows * cols
+    entries, fault = _unnest(matrices, (rows, cols))
+    count, error = len(matrices), None
+    if fault is not None:
+        level, index = fault
+        count, row = divmod(index, rows) if level else (index, 0)
+        why = f"row {row}: expected {cols} entries" if level else f"expected {rows} rows"
+        error = ValidationError(f"{where(count)}: {why}")
+        entries = entries[: count * size]  # a malformed matrix's rows go before its entries
+    elements, fault = _element_stacks(
+        algebra.block_sizes, entries, lambda e: "{}[{}][{}]".format(where(e // size), *divmod(e % size, cols))
+    )
+    if fault is not None:
+        count, error = len(elements[0]) // size, fault
     return [
-        e.reshape(count, rows, cols, nb, nb)
+        e[: count * size]
+        .reshape(count, rows, cols, nb, nb)
         .transpose(0, 1, 3, 2, 4)
         .reshape(count, rows * nb, cols * nb)
         for nb, e in zip(algebra.block_sizes, elements)
-    ]
+    ], error
 
 
 def _stacks_to_data(stacks, rows: int, cols: int, sizes) -> list:
@@ -247,29 +251,10 @@ def matrix_from_data(
     algebra: AlgebraSpec, data, rows: int, cols: int, where: str
 ) -> tuple:
     """rows x cols of algebra elements -> per-block matrices R_b: the stack of one."""
-    stacks = _matrix_stacks(algebra, [data], rows, cols)
-    if stacks is None:
-        return _walk_matrix(algebra, data, rows, cols, where)
+    stacks, error = _matrix_stacks(algebra, [data], rows, cols, lambda j: where)
+    if error is not None:
+        raise error
     return tuple(st[0] for st in stacks)
-
-
-def _walk_matrix(algebra: AlgebraSpec, data, rows: int, cols: int, where: str) -> tuple:
-    """matrix_from_data number by number, raising at the first malformed location.
-
-    The shape is checked before anything is allocated.
-    """
-    if not isinstance(data, list) or len(data) != rows:
-        _fail(where, f"expected {rows} rows")
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            _fail(where, f"row {i}: expected {cols} entries")
-    sizes = algebra.block_sizes
-    mats = [np.zeros((rows * nb, cols * nb), dtype=complex) for nb in sizes]
-    views = [_entry_view(r, rows, cols, nb) for nb, r in zip(sizes, mats)]
-    for i, row in enumerate(data):
-        for j, entry in enumerate(row):
-            _element_into([v[i, :, j, :] for v in views], entry, f"{where}[{i}][{j}]")
-    return tuple(mats)
 
 
 # -- modules -----------------------------------------------------------------------------
@@ -426,26 +411,17 @@ def sample_set_from_data(data, tol: float = 1e-9) -> SampleSet:
             break
         tags.append(tag)
         raw_maps.append(maps)
-    stacks = [
-        _matrix_stacks(algebra, [maps[k] for maps in raw_maps], *shape)
-        for k, shape in enumerate(shapes)
-    ]
-    if any(st is None for st in stacks):
-        # walk the samples in order to the first malformed map
-        mats = []
-        for i, maps in enumerate(raw_maps):
-            try:
-                mats.append([
-                    _walk_matrix(algebra, d, *shape, f"samples[{i}].maps[{k}]")
-                    for k, (d, shape) in enumerate(zip(maps, shapes))
-                ])
-            except ValidationError as e:
-                error = e
-                break
-        tags = tags[: len(mats)]
-        stacks = [[np.stack(b) for b in zip(*(m[k] for m in mats))] for k in range(len(shapes))]
-    if not tags:
+    stacks = []
+    for k, shape in enumerate(shapes):
+        where = lambda j, k=k: f"samples[{j}].maps[{k}]"
+        st, fault = _matrix_stacks(algebra, [maps[k] for maps in raw_maps], *shape, where)
+        stacks.append(st)
+        if fault is not None:
+            error, raw_maps = fault, raw_maps[: len(st[0])]
+    count = len(raw_maps)
+    if not count:
         raise error
+    tags, stacks = tags[:count], [[b[:count] for b in st] for st in stacks]
     try:
         samples = SampleSet(tags, fibers, stacks, tol=tol)
     except NotAComplex as e:
@@ -503,21 +479,22 @@ def section_from_data(data) -> TorusSection:
     if not isinstance(raw_coeffs, list):
         _fail("section", "'coeffs' must be a list")
     m = per_mode.rank
-    rows = [
-        np.zeros((geo.num_modes, nb, m * nb), dtype=complex)
-        for nb in algebra.block_sizes
-    ]
-    try:
-        located = [_coefficient(geo, c, m, f"coeffs[{i}]") for i, c in enumerate(raw_coeffs)]
-    except ValidationError:
-        located = None
-    stacks = None if located is None else _matrix_stacks(algebra, [[v] for _, v in located], 1, m)
-    if stacks is None:
-        _walk_coefficients(geo, raw_coeffs, m, rows)
-    else:
+    located, error = [], None
+    for i, c in enumerate(raw_coeffs):
+        try:
+            located.append(_coefficient(geo, c, m, f"coeffs[{i}]"))
+        except ValidationError as e:
+            error = e
+            break
+    entries = list(chain.from_iterable(v for _, v in located))
+    stacks, fault = _element_stacks(algebra.block_sizes, entries, lambda e: f"coeffs[{e // m}].value[{e % m}]")
+    if fault is not None or error is not None:
+        raise fault or error
+    rows = [np.zeros((geo.num_modes, nb, m * nb), dtype=complex) for nb in algebra.block_sizes]
+    for r, nb, st in zip(rows, algebra.block_sizes, stacks):
+        values = st.reshape(len(located), m, nb, nb).transpose(0, 2, 1, 3).reshape(len(located), nb, m * nb)
         for j, (idx, _) in enumerate(located):
-            for r, st in zip(rows, stacks):
-                r[idx] = st[j]
+            r[idx] = values[j]
     return TorusSection(geo, degree, rows)
 
 
@@ -538,17 +515,6 @@ def _coefficient(geo: TorusGeometry, c, m: int, where: str) -> tuple:
     if not isinstance(value, list) or len(value) != m:
         _fail(where, f"'value' must list {m} module entries")
     return geo.mode_index[key], value
-
-
-def _walk_coefficients(geo: TorusGeometry, raw_coeffs: list, m: int, rows: list):
-    """Read the coefficients into rows number by number, raising at the first malformed location."""
-    sizes = geo.algebra.block_sizes
-    for i, c in enumerate(raw_coeffs):
-        where = f"coeffs[{i}]"
-        idx, value = _coefficient(geo, c, m, where)
-        views = [_entry_slots(b[idx], m, nb) for nb, b in zip(sizes, rows)]
-        for e_i, entry in enumerate(value):
-            _element_into([v[:, e_i, :] for v in views], entry, f"{where}.value[{e_i}]")
 
 
 # -- files ----------------------------------------------------------------------------------------

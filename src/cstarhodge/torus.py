@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import AlgebraElement, _freeze
 from .chain import block_free_rank, laplacian_mats
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
-from .hom import block_singular_values, identity_morphism, merged_singular_values, singular_rank
+from .hom import _largest_singular, block_singular_values, identity_morphism, merged_singular_values, singular_rank
 from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
 from .symbol import _onto_target, _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
 
@@ -738,10 +738,6 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
     run = max(1, MAX_MODULE_DIM**2 // max(1, widest) ** 2)
     zero = geometry.mode_index[(0,) * n]
 
-    def largest(mats) -> float:
-        s = merged_singular_values(block_singular_values(mats), sizes)
-        return float(s[:, 0].max()) if s.shape[-1] else 0.0
-
     reports = [
         {
             "degree": k,
@@ -772,10 +768,10 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
             rep["harmonic_dim"] += int(nullity.sum())
             rep["kernel_modes"] += [tuple(int(x) for x in q) for q in qs[nullity != 0]]
             residual = [x - lam[part, None, None] * e for x, e in zip(lap, idents[k])]
-            rep["max_multiplier_residual"] = max(rep["max_multiplier_residual"], largest(residual))
+            rep["max_multiplier_residual"] = max(rep["max_multiplier_residual"], float(_largest_singular(residual).max()))
             if k + 1 < n:
                 twice = [a @ b for a, b in zip(maps[k + 1], maps[k + 2])]
-                rep["max_square_residual"] = max(rep["max_square_residual"], largest(twice))
+                rep["max_square_residual"] = max(rep["max_square_residual"], float(_largest_singular(twice).max()))
             if start <= zero < start + run:
                 # the zero mode's nullity in each block, cut as svals is
                 j = zero - start

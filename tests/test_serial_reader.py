@@ -1,16 +1,18 @@
 """The stacked reader rejects exactly the malformed files the number-by-number reader rejects.
 
 Every file here breaks one number or one level of nesting inside a map, a
-module projection or a section coefficient.  The stacked conversion refuses
-it and the walker names the location; the message is the one the
-number-by-number reader gave before the reader was stacked, written out in
-EXPECTED.
+module projection or a section coefficient.  The stacked reader's
+level-wise checks name the location; the message is the one the
+number-by-number reader (serial_oracle) gives, written out in EXPECTED, and
+mutated files must draw the same error from both.
 """
 
 import contextlib
+import copy
 import gc
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -21,11 +23,12 @@ from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex
 from cstarhodge.cli import main
 from cstarhodge.errors import ParseError, ValidationError
-from cstarhodge.hom import Morphism, random_morphism
+from cstarhodge.hom import Morphism, identity_morphism, random_morphism
 from cstarhodge.module import ModuleSpec
 from cstarhodge.symbol import SampleSet, SymbolSample, de_rham_symbol_sample, elliptic_scan
 from cstarhodge.torus import TorusGeometry, TorusSection, random_section
 from cstarhodge.util import rng_for
+import serial_oracle
 
 ALGEBRA = AlgebraSpec((1, 2))
 BIG_LITERAL = "1e999"  # json.dumps writes an infinite float as Infinity, so this goes in as text
@@ -189,6 +192,31 @@ LOADERS = {
     "section": serial.load_section,
 }
 COMMANDS = {"complex": "hodge", "projection": "check-complex", "samples": "ellipticity"}
+READERS = {
+    "complex": serial.complex_from_data,
+    "projection": serial.complex_from_data,
+    "samples": serial.sample_set_from_data,
+    "section": serial.section_from_data,
+}
+ORACLES = {
+    "complex": serial_oracle.complex_from_data,
+    "projection": serial_oracle.complex_from_data,
+    "samples": serial_oracle.sample_set_from_data,
+    "section": serial_oracle.section_from_data,
+}
+
+
+def _outcome(read, data):
+    """read(data) as the dumped text of what it returns, or the type and message of what it raises."""
+    try:
+        obj = read(data)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(obj, ChainComplex):
+        return serial.dump_json(serial.complex_to_data(obj))
+    if isinstance(obj, SampleSet):
+        return serial.dump_json(serial.sample_set_to_data(obj))
+    return [r.tobytes() for r in obj.rows]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -199,6 +227,7 @@ def test_reader_rejects_with_the_walkers_message(tmp_path, fmt, case, capsys):
     with pytest.raises(ValidationError) as err:
         LOADERS[fmt](str(path))
     assert str(err.value) == EXPECTED[fmt, case]
+    assert _outcome(ORACLES[fmt], json.loads(path.read_text())) == (ValidationError, EXPECTED[fmt, case])
     if fmt in COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([COMMANDS[fmt], str(path)]) == 2
@@ -224,6 +253,118 @@ def test_sample_set_errors_are_reported_in_file_order(tmp_path):
     with pytest.raises(ValidationError) as err:
         serial.load_sample_set(str(path))
     assert str(err.value) == EXPECTED["order"]
+
+
+def _nan(pair: list):
+    pair[0] = float("nan")
+
+
+def _short(row: list):
+    row.pop()
+
+
+# Two faults in one file, and the one the number-by-number reader names: a
+# matrix's row shapes come before its entries, blocks go in file order, and
+# a sample's or a coefficient's own keys come after the maps before it.
+ORDERED = {
+    "row-shape-after-number": (
+        "complex",
+        [(_nan, ("modules", 1, "projection", 0, 0, 0, 0, 0)), (_short, ("modules", 1, "projection", 1))],
+        "modules[1].projection: row 1: expected 2 entries",
+    ),
+    "block-1-before-later-entry": (
+        "complex",
+        [(_nan, ("differentials", 0, 0, 1, 0, 0, 0)), (_nan, ("differentials", 0, 0, 0, 1, 1, 1))],
+        "differentials[0][0][0].block1[1][1]: expected a finite number, got nan",
+    ),
+    "number-before-missing-tag": (
+        "samples",
+        [(lambda s: s.pop("tag"), ("samples", 3)), (_nan, ("samples", 2, "maps", 1, 1, 0, 1, 1, 1))],
+        "samples[2].maps[1][1][0].block1[1][1]: expected a finite number, got nan",
+    ),
+    "number-before-bad-q": (
+        "section",
+        [(lambda c: c.__setitem__("q", ["a"]), ("coeffs", 2)), (_nan, ("coeffs", 1, "value", 1, 0, 0, 0))],
+        "coeffs[1].value[1].block0[0][0]: expected a finite number, got nan",
+    ),
+}
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(ORDERED))
+def test_the_first_of_two_faults_in_reading_order_is_named(case):
+    fmt, edits, message = ORDERED[case]
+    data = BUILDERS[fmt]()
+    for edit, path in edits:
+        edit(_at(data, path))
+    assert _outcome(READERS[fmt], data) == (ValidationError, message)
+    assert _outcome(ORACLES[fmt], data) == (ValidationError, message)
+
+
+def test_a_tuple_is_refused_as_a_complex_number():
+    data = _complex_data()["differentials"][0]
+    data[0][1][1][1][0] = (0.5, 0.0)
+    with pytest.raises(ValidationError) as err:
+        serial.matrix_from_data(ALGEBRA, data, 1, 2, "d")
+    assert str(err.value) == "d[0][1].block1[1][0]: complex numbers are two-element arrays [re, im]"
+
+
+# What a mutation puts in place of a node or inserts into a list, besides a
+# copy of a node of the same file.
+REPLACEMENTS = [
+    True, None, "1.5", 0.5, -2, 10**400, float("nan"), float("inf"), -float("inf"),
+    [], [0.5], [0.5, 0.0], [0.5, 0.0, 1.0], [[0.5, 0.0]], {}, {"q": [0]},
+]
+# Per format, the nodes a mutation may touch: those inside the maps,
+# projections, samples or coefficients, whose reading is under test.
+MUTABLE = {
+    "complex": lambda p: p[0] == "differentials" and len(p) > 1 or p[:1] == ("modules",) and p[2:3] == ("projection",),
+    "samples": lambda p: p[0] == "samples" and len(p) > 1,
+    "section": lambda p: p[0] == "coeffs" and len(p) > 1,
+}
+
+
+def _paths(node, path=()):
+    """The path of every node below node, in file order."""
+    items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(data, draw, fmt: str):
+    """Replace, drop, duplicate or insert one node among the mutable ones."""
+    paths = [p for p in _paths(data) if MUTABLE[fmt](p)]
+    path = draw(st.sampled_from(paths))
+    parent, key = _at(data, path[:-1]), path[-1]
+    op = draw(st.sampled_from(["replace", "drop", "duplicate", "insert"]))
+    new = _at(data, draw(st.sampled_from(paths))) if draw(st.booleans()) else draw(st.sampled_from(REPLACEMENTS))
+    new = copy.deepcopy(new)  # REPLACEMENTS and the file's own nodes stay as they are
+    if op == "drop":
+        del parent[key]
+    elif op == "replace" or not isinstance(parent, list):
+        parent[key] = new
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]) if op == "duplicate" else new)
+
+
+SMALL = {"complex": _complex_data, "samples": lambda: _sample_data(4), "section": _section_data}
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw=st.data(), fmt=st.sampled_from(sorted(SMALL)), edits=st.integers(1, 3))
+def test_mutated_files_draw_the_oracles_error(draw, fmt, edits):
+    # whatever is broken, the reader raises what the number-by-number reader
+    # raises, or both read the same maps
+    data = SMALL[fmt]()
+    for _ in range(edits):
+        _mutate(data, draw.draw, fmt)
+    assert _outcome(READERS[fmt], data) == _outcome(ORACLES[fmt], data)
 
 
 def _entrywise_matrix_to_data(t: Morphism) -> list:
@@ -314,12 +455,10 @@ def test_round_trip_is_bitwise(data, blocks, ranks, count):
         Morphism(*mods, [_draw_matrix(data, ranks[0] * nb, ranks[1] * nb) for nb in blocks])
         for _ in range(count)
     ]
-    # the stacked reader reads what the number-by-number walker reads
+    # the reader reads back the written maps
     for t in maps:
         raw = json.loads(json.dumps(serial.matrix_to_data(t)))
-        want = serial._walk_matrix(algebra, raw, *ranks, "m")
-        assert _same_bits(serial.matrix_from_data(algebra, raw, *ranks, "m"), want)
-        assert _same_bits(want, t.mats)
+        assert _same_bits(serial.matrix_from_data(algebra, raw, *ranks, "m"), t.mats)
     # a complex, and a sample set of count one-map samples (neither has a D D = 0 pair)
     cx = serial.complex_from_data(json.loads(serial.dump_json(serial.complex_to_data(ChainComplex(mods, maps[:1])))))
     assert _same_bits(cx.diffs[0].mats, maps[0].mats)
@@ -365,23 +504,45 @@ def test_svd_count_does_not_grow_with_the_samples(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_walker_runs_only_on_failure(tmp_path, monkeypatch):
-    texts = {
-        "complex": serial.dump_json(_complex_data()),
-        "samples": serial.dump_json(_sample_data()),
-        "section": serial.dump_json(_section_data()),
+def _serial_calls(read, data) -> int:
+    """The number of calls into serial's Python functions while read(data) runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == serial.__file__:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        read(data)
+    finally:
+        sys.setprofile(previous)
+    return len(calls)
+
+
+def _sized_data(blocks) -> dict:
+    """A complex, a sample set and a section over the algebra of the given blocks, all with two blocks."""
+    algebra = AlgebraSpec(blocks)
+    rng = rng_for(3, "reader-calls", 0)
+    mods = [ModuleSpec(algebra, 1), ModuleSpec(algebra, 2, projection=identity_morphism(ModuleSpec(algebra, 2)).mats)]
+    fiber = ModuleSpec(algebra, 1)
+    geo = TorusGeometry(1, 1, ModuleSpec(algebra, 2))
+    return {
+        "complex": serial.complex_to_data(ChainComplex(mods, [random_morphism(*mods, rng)])),
+        "samples": serial.sample_set_to_data([
+            de_rham_symbol_sample(2, fiber, rng.standard_normal(2), tag=f"s{j}") for j in range(4)
+        ]),
+        "section": serial.section_to_data(random_section(geo, 1, rng)),
     }
 
-    def walked(*args, **kwargs):
-        raise AssertionError("valid data went through the number-by-number walker")
 
-    walker = ["_walk_matrix", "_walk_coefficients", "_element_into", "_block_into", "_complex_from"]
-    for name in walker + ["_number"]:
-        monkeypatch.setattr(serial, name, walked)
-    for fmt, text in texts.items():
-        path = tmp_path / f"{fmt}.json"
-        path.write_text(text)
-        LOADERS[fmt](str(path))
+def test_loading_makes_no_python_call_per_number():
+    # the same files over blocks of sizes 3 and 4 hold five times the numbers
+    # of those over sizes 1 and 2, and the reader makes as many calls
+    small, large = _sized_data((1, 2)), _sized_data((3, 4))
+    for fmt in small:
+        assert _serial_calls(READERS[fmt], small[fmt]) == _serial_calls(READERS[fmt], large[fmt]) > 0
 
 
 def test_loading_and_scanning_builds_no_morphism(tmp_path, monkeypatch):
