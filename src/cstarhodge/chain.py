@@ -6,17 +6,24 @@ Laplacian is
 
     L_i = D_{i-1} D_{i-1}* + D_i* D_i
 
-with no term beyond the ends.  Its Moore-Penrose pseudoinverse g and the
-kernel projection p = 1 - g L form a parametrix: g L + p = 1, L g + p = 1,
-L p = 0, and additionally g p = 0 so p is idempotent.  The parametrix
+with no term beyond the ends.  Since D_i D_{i-1} = 0, L_i splits along
+Rng D_{i-1} + Rng D_i* + Ker L_i, so its Moore-Penrose pseudoinverse g is
+the sum of the two differentials' squared pseudoinverses and the harmonic
+projection p is 1 minus the projections onto those two ranges.  Both are
+built from each differential's kept singular triples: the rank of D_i is
+decided once, on D_i's own spectrum, and one thin SVD per block of D_i
+serves degrees i and i + 1; no Laplacian is decomposed.  g and p form a
+parametrix: g L + p = 1, L g + p = 1, L p = 0, and additionally g p = 0 so
+p is idempotent.  None of these holds by construction, so each residual
+checks the rank decisions and the ranges' orthogonality.  The parametrix
 intertwines the differentials (p' D = 0, D g = g' D, D L = L' D), harmonic
 vectors represent cohomology classes bijectively, and every vector splits as
 harmonic + exact + coexact.  All of this is checked numerically by the test
 suite against the concrete shadow matrices.
 
 The identities are computed on per-block arrays, not on composed Morphisms:
-p is built as 1 - R_L R_g per block, Parametrix.residuals stacks a degree's
-five residuals into one (5, n, n) array per algebra block and
+Parametrix.residuals stacks a degree's five residuals into one (5, n, n)
+array per algebra block and
 verify_chain_map a differential's four into one (4, rows, cols) array.  A
 map product x y is R_y R_x per block, as in Morphism.__matmul__.  Each
 stack, like the D D = 0 products, goes through hom.certified_norms against
@@ -163,7 +170,12 @@ def _require_on(module: ModuleSpec, maps, what: str):
 
 @dataclass(frozen=True)
 class Parametrix:
-    """Green operator and harmonic projection for one Laplacian."""
+    """Green operator and harmonic projection for one Laplacian.
+
+    ChainComplex.parametrix builds green and projector separately, from
+    the kept singular triples of the degree's two differentials; the
+    residuals compare them with the Laplacian, which is formed on its own.
+    """
 
     degree: int
     laplacian: Morphism
@@ -267,6 +279,11 @@ class HodgeIsomorphism:
 class HodgeReport:
     """Cohomology bookkeeping for one degree of a complex.
 
+    harmonic_dim is the rank of the built projector (the sum over blocks of
+    n_b trace R_p,b) and cohomology_dim is dim - rank D_i - rank D_{i-1};
+    both rest on the same rank decisions, and the residuals L p = 0 and
+    g L + p = 1 certify that harmonic_dim is L's nullity.  rank_margin is
+    the smaller of the two differentials' margins (hom.singular_rank).
     residuals are the parametrix identities of this degree alone, held to
     the report's tol; residual_exact[name] is True where the value is the
     operator norm and False where it is a Frobenius bound that passes.  The
@@ -313,6 +330,7 @@ class ChainComplex:
         self._padded = [Morphism.zero(zero, modules[0]), *differentials, Morphism.zero(modules[-1], zero)]
         self._laplacians: dict = {}
         self._parametrices: dict = {}
+        self._kept: dict = {}
         self._squares: dict = {}
         self.square_residuals(tol, strict=True)
 
@@ -355,17 +373,56 @@ class ChainComplex:
             self._laplacians[i] = Morphism(mod, mod, mats)
         return self._laplacians[i]
 
+    def _kept_svd(self, j: int, cutoff: float) -> list:
+        """Per block, D_j's kept singular triples (U, S, Vh), or None where it keeps none.
+
+        The kept values are the ones rank_with_margin keeps, counted per
+        block on D_j's values-only spectra (Morphism.kept_counts), and the
+        triples come from one thin SVD of each block that keeps any.  They
+        are cached per cutoff, so both degrees of D_j share them.
+        """
+        key = (j, cutoff)
+        if key not in self._kept:
+            d = self.differential(j)
+            triples = []
+            for r, k in zip(d.mats, d.kept_counts(cutoff)):
+                if k:
+                    u, s, vh = np.linalg.svd(r, full_matrices=False)
+                    triples.append((u[:, :k], s[:k], vh[:k]))
+                else:
+                    triples.append(None)
+            self._kept[key] = triples
+        return self._kept[key]
+
     def parametrix(self, i: int, cutoff: float = 1e-10) -> Parametrix:
+        """Green operator and harmonic projector of degree i from its differentials' kept triples.
+
+        With D_{i-1} = U_in S_in Vh_in and D_i = U_out S_out Vh_out per block,
+        cut to their kept values, R_g = Vh_in* S_in^-2 Vh_in + U_out S_out^-2
+        U_out* and R_p = 1 - Vh_in* Vh_in - U_out U_out*: the projections onto
+        Rng D_{i-1} and Rng D_i* are taken out of the module's identity.  No
+        Laplacian is decomposed, and no identity holds by construction.
+        """
         key = (i, cutoff)
         if key not in self._parametrices:
             lap = self.laplacian(i)
-            green = lap.pseudoinverse(cutoff)
-            # p = 1 - g L, per block 1 - R_L R_g
             mod = self.modules[i]
-            projector = Morphism(
-                mod, mod, [one - rl @ rg for one, rl, rg in zip(identity_mats(mod), lap.mats, green.mats)]
-            )
-            self._parametrices[key] = Parametrix(i, lap, green, projector)
+            green, projector = [], []
+            for one, low, high in zip(identity_mats(mod), self._kept_svd(i - 1, cutoff), self._kept_svd(i, cutoff)):
+                g, p = np.zeros_like(one), one.copy()
+                if low is not None:
+                    _, s, vh = low
+                    rows = vh.conj().T
+                    g += (rows / s**2) @ vh
+                    p -= rows @ vh
+                if high is not None:
+                    u, s, _ = high
+                    cols = u.conj().T
+                    g += (u / s**2) @ cols
+                    p -= u @ cols
+                green.append(g)
+                projector.append(p)
+            self._parametrices[key] = Parametrix(i, lap, Morphism(mod, mod, green), Morphism(mod, mod, projector))
         return self._parametrices[key]
 
     def parametrix_family(self, cutoff: float = 1e-10) -> list:
@@ -467,19 +524,21 @@ class ChainComplex:
     # -- reporting -------------------------------------------------------------------
 
     def cohomology_report(self, i: int, cutoff: float = 1e-10, tol: float = 1e-8) -> HodgeReport:
-        lap = self.laplacian(i)
-        d_in = self.differential(i - 1)
-        d_out = self.differential(i)
+        """Dimensions, margins and parametrix residuals of degree i.
+
+        The harmonic dimension is the rank of the built projector, read from
+        its block traces; the residuals L p = 0 and g L + p = 1 certify that
+        it is L's nullity.  The margin is the smaller of the two
+        differentials' rank margins, the decisions p is built from.
+        """
         mod_dim = self.modules[i].concrete_dim
-
-        rank_lap, margin_lap = lap.rank_with_margin(cutoff)
-        rank_in, margin_in = d_in.rank_with_margin(cutoff)
-        rank_out, margin_out = d_out.rank_with_margin(cutoff)
-
-        harmonic_dim = mod_dim - rank_lap
+        rank_in, margin_in = self.differential(i - 1).rank_with_margin(cutoff)
+        rank_out, margin_out = self.differential(i).rank_with_margin(cutoff)
         cohomology_dim = (mod_dim - rank_out) - rank_in
 
         par = self.parametrix(i, cutoff)
+        sizes = self.algebra.block_sizes
+        harmonic_dim = int(round(sum(nb * np.trace(r).real for nb, r in zip(sizes, par.projector.mats))))
         free_rank = free_rank_of_projection(par.projector, tol)
         residuals, exact = par.certified_residuals(tol)
         return HodgeReport(
@@ -489,7 +548,7 @@ class ChainComplex:
             cohomology_dim=cohomology_dim,
             dims_match=harmonic_dim == cohomology_dim,
             free_rank=free_rank,
-            rank_margin=min(margin_lap, margin_in, margin_out),
+            rank_margin=min(margin_in, margin_out),
             residuals=residuals,
             residual_exact=exact,
             notes=(

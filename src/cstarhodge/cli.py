@@ -8,11 +8,12 @@ Subcommands:
   torus-demo           de Rham, embedding and regularity suites on a torus
 
 Every pass/fail line names the identity it checks by its formula.  A
-residual check of check-complex, hodge or parametrix also says which norm its
-value is: the exact operator norm, or a Frobenius bound, an upper bound on
-it that already passes (chain.square_residual_values,
-Parametrix.certified_residuals, verify_chain_map).  A failing value is
-always the operator norm.  Exit code
+residual check of check-complex, hodge, parametrix or torus-demo's de Rham
+suite also says which norm its value is: the exact operator norm, or a
+Frobenius bound, an upper bound on it that already passes
+(chain.square_residual_values, Parametrix.certified_residuals,
+verify_chain_map, torus.harmonic_rank_report).  A failing value is always
+the operator norm.  Exit code
 0 means all checks passed, 1 means some verified identity or expected value
 failed, 2 means the input could not be parsed or validated, or a linear
 algebra routine failed on it.  With --format json the report is
@@ -301,24 +302,27 @@ def _parse_fiber(spec: str) -> tuple:
 
 
 def _demo_derham(geometry: TorusGeometry, config: RunConfig) -> dict:
-    reports = harmonic_rank_report(geometry, cutoff=config.cutoff)
+    reports = harmonic_rank_report(geometry, cutoff=config.cutoff, tol=config.tolerance)
     checks = []
     ranks = []
     zero_mode = [list([0] * geometry.dimension)]
     for rep in reports:
         k = rep["degree"]
+        exact = rep["residual_exact"]
         checks.append(
-            _check_le(
+            _residual_check(
                 f"mode Laplacian[{k}] = 4 pi^2 |q|^2 id",
                 rep["max_multiplier_residual"],
+                exact["max_multiplier_residual"],
                 config.tolerance,
             )
         )
         if k < geometry.dimension - 1:
             checks.append(
-                _check_le(
+                _residual_check(
                     f"D[{k + 1}] D[{k}] = 0 per mode",
                     rep["max_square_residual"],
+                    exact["max_square_residual"],
                     config.tolerance,
                 )
             )

@@ -20,13 +20,17 @@ sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with
 blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
 value over all blocks.  A map's singular values come from one values-only
-SVD per block, cached on the map; pseudoinverse cuts at the
-largest value of its own full SVDs, so neither result depends on which of
-the two ran first.  The functions on per-block arrays (..., rows, cols)
-serve a single map and a stack of equal-shape maps alike: a stack (torus
-modes, symbol samples) takes one batched SVD per block and never becomes
-Morphisms.  A residual that only has to stay below a limit (chain's
-parametrix, chain-map and D D = 0 stacks, projection_residuals) goes
+SVD per block, cached on the map with each block's own spectrum, so
+kept_counts says how many values per block rank_with_margin keeps;
+chain's parametrix takes a thin SVD of a differential's blocks only to
+get the kept singular vectors, and never decomposes a Laplacian.
+pseudoinverse cuts at the largest value of its own thin SVDs, so neither
+result depends on which of the two ran first.  The functions on per-block
+arrays (..., rows, cols) serve a single map and a stack of equal-shape
+maps alike: a stack (torus modes, symbol samples) takes one batched SVD
+per block and never becomes Morphisms.  A residual that only has to stay
+below a limit (chain's parametrix, chain-map and D D = 0 stacks, the torus
+de Rham suite's multiplier and D D = 0 stacks, projection_residuals) goes
 through certified_norms: its largest blockwise Frobenius norm, an upper
 bound on the operator norm from one einsum per block, and the exact SVD
 value only where that bound does not already pass, so every verdict is the
@@ -250,6 +254,7 @@ class Morphism:
         self.mats = tuple(checked)
         self._embed = None
         self._svals = None
+        self._block_svals = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -361,8 +366,8 @@ class Morphism:
     def singular_values(self) -> np.ndarray:
         """Singular values of the shadow, descending: each block's values n_b times; cached."""
         if self._svals is None:
-            merged = merged_singular_values(block_singular_values(self.mats), self.algebra.block_sizes)
-            self._svals = _freeze(merged)
+            self._block_svals = block_singular_values(self.mats)
+            self._svals = _freeze(merged_singular_values(self._block_svals, self.algebra.block_sizes))
         return self._svals
 
     def norm(self) -> float:
@@ -374,6 +379,17 @@ class Morphism:
 
     def rank_with_margin(self, cutoff: float = 1e-10):
         return singular_rank(self.singular_values(), cutoff)
+
+    def kept_counts(self, cutoff: float = 1e-10) -> list:
+        """Per block, how many of R_b's singular values rank_with_margin keeps.
+
+        Those above cutoff times the largest value over all blocks, counted
+        on the cached values-only spectra, so n_b times each count sums to
+        concrete_rank(cutoff).
+        """
+        s = self.singular_values()
+        thresh = cutoff * float(s[0]) if s.size else 0.0
+        return [int(np.count_nonzero(v > thresh)) for v in self._block_svals]
 
     # -- pseudoinverse and projections --------------------------------------------
 

@@ -22,7 +22,9 @@ the stacks before it, so a failing sample is named ahead of a malformed
 location after it.  A map that leaks outside a projective module
 (R_b != P_source,b R_b P_target,b beyond the relative tolerance D D = 0
 is held to) is refused by name, differentials[k] or samples[j].maps[k];
-maps between free modules skip that check.  A module whose rank times the
+maps between free modules skip that check.  A section lists each mode at
+most once: a second coefficient for a mode is a fault of its keys, named
+with the first one.  A module whose rank times the
 algebra dimension exceeds MAX_MODULE_DIM is refused before anything is
 allocated for it.  Saving writes every float in its shortest round-trip
 form, with one tolist() per block of a map or of a degree's stack, so
@@ -479,13 +481,18 @@ def section_from_data(data) -> TorusSection:
     if not isinstance(raw_coeffs, list):
         _fail("section", "'coeffs' must be a list")
     m = per_mode.rank
-    located, error = [], None
+    located, error, first = [], None, {}
     for i, c in enumerate(raw_coeffs):
+        where = f"coeffs[{i}]"
         try:
-            located.append(_coefficient(geo, c, m, f"coeffs[{i}]"))
+            idx, value = _coefficient(geo, c, m, where)
+            if idx in first:
+                _fail(where, f"mode {tuple(c['q'])} is listed twice, first in {first[idx]}")
         except ValidationError as e:
             error = e
             break
+        first[idx] = where
+        located.append((idx, value))
     entries = list(chain.from_iterable(v for _, v in located))
     stacks, fault = _element_stacks(algebra.block_sizes, entries, lambda e: f"coeffs[{e // m}].value[{e % m}]")
     if fault is not None or error is not None:

@@ -140,15 +140,23 @@ def sample_set_from_data(data, tol: float = 1e-9) -> SampleSet:
 
 
 def section_from_data(data) -> TorusSection:
-    """serial.section_from_data walking the coefficients in file order; the header is serial's."""
+    """serial.section_from_data walking the coefficients in file order; the header is serial's.
+
+    A mode listed twice is refused at its second coefficient, after that
+    coefficient's keys and before its value's numbers.
+    """
     header = serial.section_from_data({**data, "coeffs": []})
     geo, degree = header.geometry, header.degree
     m = geo.form_fiber(degree).rank
     sizes = geo.algebra.block_sizes
     rows = [np.zeros((geo.num_modes, nb, m * nb), dtype=complex) for nb in sizes]
+    seen = {}
     for i, c in enumerate(data["coeffs"]):
         where = f"coeffs[{i}]"
         idx, value = serial._coefficient(geo, c, m, where)
+        if idx in seen:
+            raise ValidationError(f"{where}: mode {tuple(c['q'])} is listed twice, first in coeffs[{seen[idx]}]")
+        seen[idx] = i
         views = [_entry_slots(b[idx], m, nb) for nb, b in zip(sizes, rows)]
         for e_i, entry in enumerate(value):
             _element_into([v[:, e_i, :] for v in views], entry, f"{where}.value[{e_i}]")

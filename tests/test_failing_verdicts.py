@@ -5,9 +5,12 @@ tolerance; a failing residual takes the exact path, so its value is the
 composition's operator norm bit for bit, as it was when every residual was
 an SVD.  The inputs are the twisted circle over M_2 (modes q in {-1, 0, 1},
 one differential with the blocks 2 pi i (q + theta), theta = diag(0, eps)),
-which fails identities of `hodge` through roundoff at small eps or at an
-extreme scale, and near-threshold D D = 0 and projection failures, whose
-error messages are pinned byte for byte (as the all-SVD code printed them).
+whose harmonic and cohomology dimensions are 2 in both degrees for every
+0 < eps < 1/2.  With ranks decided on D and g, p built from D's singular
+vectors, its well-conditioned rows pass; it still fails identities of
+`hodge` through roundoff at small eps or at an extreme scale.  Last come
+near-threshold D D = 0 and projection failures, whose error messages are
+pinned byte for byte (as the all-SVD code printed them).
 """
 
 import contextlib
@@ -29,14 +32,19 @@ from test_hom import _projective
 from test_residual_stacks import oracle_chain_map, oracle_residuals
 
 
-def twisted_circle(eps: float, scale: float, seed: int) -> ChainComplex:
-    """A^3 -> A^3 over M_2 with the twisted circle's blocks, in a random unitary frame."""
+def twisted_circle(eps: float, scale: float, seed) -> ChainComplex:
+    """A^3 -> A^3 over M_2 with the twisted circle's blocks, in a random unitary frame.
+
+    seed None keeps the identity frame, where D is block diagonal.
+    """
     alg = AlgebraSpec((2,))
     mod = ModuleSpec(alg, 3)
     rows = [[alg.zero()] * 3 for _ in range(3)]
     for i, q in enumerate((-1, 0, 1)):
         rows[i][i] = AlgebraElement(alg, [2j * np.pi * scale * (q * np.eye(2) + np.diag([0.0, eps]))])
     d = Morphism.from_entries(mod, mod, rows)
+    if seed is None:
+        return ChainComplex([mod, mod], [d])
     rng = rng_for(16, "twisted-circle", seed)
     u0, u1 = random_unitary_morphism(mod, rng), random_unitary_morphism(mod, rng)
     return ChainComplex([mod, mod], [u1 @ d @ u0.adjoint()])
@@ -68,11 +76,11 @@ def _oracles(cx) -> dict:
 
 # (eps, scale, seed) and the checks `hodge` fails on them, in report order
 TWISTED_FAILURES = [
-    ((1e-3, 1.0, 0), ["g p = 0", "g p = 0"]),
-    ((1e-3, 1.0, 1), ["g p = 0", "g p = 0", "D[0] g[0] = g[1] D[0]"]),
-    ((1e-3, 100.0, 0), ["lap p = 0", "lap p = 0", "D[0] p[0] = 0", "D[0] lap[0] = lap[1] D[0]", "p[1] D[0] = 0"]),
-    ((1e-1, 1e-3, 0), ["g p = 0", "g p = 0"]),
-    ((1e-6, 1.0, 0), ["harmonic dim = cohomology dim", "harmonic dim = cohomology dim", "D[0] p[0] = 0", "p[1] D[0] = 0"]),
+    ((1e-3, 100.0, 0), ["D[0] lap[0] = lap[1] D[0]"]),
+    (
+        (1e-6, 1.0, 0),
+        ["g p = 0", "g lap + p = 1", "lap g + p = 1"] * 2 + ["D[0] g[0] = g[1] D[0]"],
+    ),
 ]
 
 
@@ -94,6 +102,45 @@ def test_failing_residuals_are_exact_operator_norms(case, failing, tmp_path):
                 assert check["norm"] == "operator norm"
                 assert check["value"].hex() == oracles[section["title"]][check["name"]].hex()
     assert failed == failing
+
+
+# the twisted circle's rows that `hodge` passes: every degree has harmonic
+# and cohomology dimension 2; seed None is the identity frame
+TWISTED_PASSES = [
+    (1e-1, 1e-3, 0),
+    (1e-3, 1.0, 0),
+    (1e-3, 1.0, 1),
+    (1e-3, 1.0, 3),
+    (1e-3, 1.0, 4),
+    (1e-6, 1.0, None),
+]
+
+
+@pytest.mark.parametrize("case", TWISTED_PASSES)
+def test_well_posed_twisted_circles_pass(case, tmp_path):
+    path = tmp_path / "twisted.json"
+    serial.save_complex(str(path), twisted_circle(*case))
+    code, report = _hodge(path)
+    assert code == 0 and report["passed"]
+    assert report["harmonic_dims"] == [2, 2]
+    assert [s["info"]["cohomology_dim"] for s in report["sections"][:2]] == [2, 2]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_thin_twisted_circle_has_the_right_dimensions(seed, tmp_path):
+    # at eps = 1e-7 the Laplacian's smallest nonzero eigenvalue sits below
+    # its squared cut, where a rank decision on L read dimension 4; the
+    # decision on D keeps it, and only the g residuals fail (their verdict
+    # waits for residuals scaled by their factors' norms)
+    path = tmp_path / "twisted.json"
+    serial.save_complex(str(path), twisted_circle(1e-7, 1.0, seed))
+    code, report = _hodge(path)
+    assert code == 1
+    assert report["harmonic_dims"] == [2, 2]
+    for section in report["sections"][:2]:
+        assert section["info"]["cohomology_dim"] == 2
+        (dims,) = [c for c in section["checks"] if c["name"] == "harmonic dim = cohomology dim"]
+        assert dims["passed"]
 
 
 def _run_stderr(argv) -> tuple:

@@ -17,7 +17,7 @@ from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex, random_complex
 from cstarhodge.cli import main
 from cstarhodge.errors import ParseError, ValidationError
-from cstarhodge.hom import Morphism, identity_morphism
+from cstarhodge.hom import Morphism, identity_morphism, random_morphism
 from cstarhodge.module import ModuleSpec
 from cstarhodge.symbol import de_rham_symbol_sample, random_degenerate_sample
 from cstarhodge.torus import TorusGeometry, random_section
@@ -274,22 +274,24 @@ def test_cli_maps_linalg_failure_to_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_linalg_failure_names_the_degree(tmp_path, monkeypatch, capsys):
-    # ranks 1, 3, 2 with zero maps: only degree 1 has 3 x 3 matrices to decompose
+    # ranks 1, 3, 2 with D_0 = 0: only D_1 keeps singular values, so its thin
+    # SVD (3 x 2, taken once for degrees 1 and 2) is the only one a report takes
     mods = [ModuleSpec(AlgebraSpec((1,)), r) for r in (1, 3, 2)]
+    d1 = random_morphism(mods[1], mods[2], rng_for(7, "io-linalg-degree", 0))
     path = tmp_path / "cx.json"
-    serial.save_complex(path, ChainComplex(mods, [Morphism.zero(a, b) for a, b in zip(mods, mods[1:])]))
+    serial.save_complex(path, ChainComplex(mods, [Morphism.zero(mods[0], mods[1]), d1]))
     svd = np.linalg.svd
 
-    def failing_at_degree_1(a, *args, **kwargs):
-        if np.shape(a)[-2:] == (3, 3):
+    def failing_thin_svd(a, *args, **kwargs):
+        if kwargs.get("full_matrices", True) is False and np.shape(a)[-2:] == (3, 2):
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", failing_at_degree_1)
-    for cmd in (["hodge"], ["parametrix", "--degree", "1"]):
+    monkeypatch.setattr(np.linalg, "svd", failing_thin_svd)
+    for cmd, degree in ((["hodge"], 1), (["parametrix", "--degree", "1"], 1), (["parametrix", "--degree", "2"], 2)):
         assert run_cli(cmd + [str(path)])[0] == 2
-        assert "numerical failure: degree 1: SVD did not converge" in capsys.readouterr().err
-    assert run_cli(["parametrix", "--degree", "2", str(path)])[0] == 0
+        assert f"numerical failure: degree {degree}: SVD did not converge" in capsys.readouterr().err
+    assert run_cli(["parametrix", "--degree", "0", str(path)])[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cstarhodge.algebra import AlgebraSpec
-from cstarhodge.chain import ChainComplex, Parametrix, random_complex, verify_chain_map
+from cstarhodge.chain import PARAMETRIX_RESIDUALS, ChainComplex, Parametrix, random_complex, verify_chain_map
 from cstarhodge.errors import SpecMismatch
 from cstarhodge.hom import Morphism, _roundoff_factor, identity_morphism, random_morphism, singular_rank
 from cstarhodge.module import ModuleSpec
@@ -83,15 +83,55 @@ def test_residuals_are_bitwise_the_compositions(blocks):
     for cx in _complexes(AlgebraSpec(blocks), rng):
         family = cx.parametrix_family()
         for par in family:
-            one = identity_morphism(par.laplacian.source)
-            want = one - par.green @ par.laplacian
-            assert all(np.array_equal(a, b) for a, b in zip(par.projector.mats, want.mats))
+            i = par.degree
+            d_in, d_out = cx.differential(i - 1), cx.differential(i)
+            # 1 minus the projections onto Rng D_{i-1} and Rng D_i*, from pseudoinverses
+            want = identity_morphism(d_out.source) - d_in @ d_in.pseudoinverse() - d_out.pseudoinverse() @ d_out
+            assert all(np.abs(a - b).max(initial=0.0) <= 1e-13 for a, b in zip(par.projector.mats, want.mats))
             values, exact = par.certified_residuals(tol=0.0)
             assert _bits(values) == _bits(oracle_residuals(par))
             assert all(exact.values())
         rep = verify_chain_map(cx, family, tol=0.0)
         assert _bits(rep) == _bits(oracle_chain_map(cx, family, 0.0))
         assert verify_chain_map(cx, family)["passed"]
+
+
+# the residuals that move when g alone is perturbed; perturbing p moves all five
+MOVED_BY_GREEN = ("green_laplacian_plus_projector", "laplacian_green_plus_projector", "green_kills_projector")
+
+
+def test_every_parametrix_residual_moves_with_g_or_p():
+    # g and p are built separately from the differentials' kept triples, so
+    # no identity holds by construction: g L + p = 1 read exactly 0 on every
+    # input when p was 1 - g L.  Perturbing g alone, then p alone, by delta
+    # times a unit Gaussian map must move every residual it enters.
+    delta = 1e-6
+    tested, nonzero = 0, 0
+    for k in range(4):
+        rng = rng_for(19, "parametrix-moves", k)
+        cx, _ = random_complex(rng, algebra=AlgebraSpec((1, 2)))
+        for par in cx.parametrix_family():
+            mod = par.laplacian.source
+            if par.laplacian.norm() == 0 or par.projector.norm() < 0.5:
+                continue  # a zero L or p leaves some products zero whatever moves
+            tested += 1
+            base = par.certified_residuals(tol=0.0)[0]
+            assert max(base.values()) < 1e-12
+            nonzero += base["green_laplacian_plus_projector"] > 0
+            e = random_morphism(mod, mod, rng)
+            e = e * (1.0 / e.norm())
+            for green, projector, moved in (
+                (par.green + delta * e, par.projector, MOVED_BY_GREEN),
+                (par.green, par.projector + delta * e, PARAMETRIX_RESIDUALS),
+            ):
+                values = Parametrix(par.degree, par.laplacian, green, projector).certified_residuals(tol=0.0)[0]
+                for key in PARAMETRIX_RESIDUALS:
+                    if key in moved:
+                        assert values[key] > 1e-3 * delta, (key, values[key])
+                    else:
+                        assert values[key] == base[key]
+    assert tested >= 4
+    assert nonzero  # g L + p - 1 carries roundoff: it is computed, not cancelled
 
 
 def _within_bound(value: float, oracle: float, mats) -> bool:
@@ -157,27 +197,28 @@ def _hodge_svd_calls(cx, monkeypatch) -> int:
 
 
 def test_hodge_svd_count(monkeypatch):
-    """2 SVDs per degree and block for the reports, none for the residual stacks.
+    """One thin SVD per differential and block that keeps a value, for both of its degrees.
 
-    A report takes the Laplacian's singular values and its pseudoinverse;
-    the differentials' singular values were taken when the complex was
-    built.  The parametrix and chain-map residual stacks of a well-posed
-    complex pass as Frobenius bounds, so they take no SVD (they took one
-    per degree and block and one per differential and block, 30 in all
-    here, when every residual was an exact operator norm).  A block with no
-    rows or no columns takes none.
+    A report builds g and p from the kept singular triples of the degree's
+    two differentials, so no Laplacian is decomposed; the differentials'
+    values-only spectra, which decide how many triples each block keeps,
+    were taken when the complex was built.  The parametrix and chain-map
+    residual stacks of a well-posed complex pass as Frobenius bounds, so
+    they take no SVD.  Before, each report took the Laplacian's values-only
+    spectrum and its pseudoinverse's full SVD: 2 per degree and block, 16
+    here.
     """
     alg = AlgebraSpec((1, 2))
     cx, plan = random_complex(rng_for(14, "svd-count", 1), algebra=alg)
-    assert plan["module_ranks"] == [1, 3, 4, 3]  # no rank-0 module, whose blocks take no SVD
+    assert plan["module_ranks"] == [1, 3, 4, 3]
+    assert plan["differential_ranks"] == [1, 2, 0]  # D_2 = 0 keeps nothing and takes no SVD
     blocks = len(alg.block_sizes)
-    assert _hodge_svd_calls(cx, monkeypatch) == 2 * len(cx.modules) * blocks == 16
-    # A^2 -> A^0 -> A^2 with zero maps: degrees 0 and 2 take 2 per block, the
-    # rank-0 degree and both differentials (every block empty) none; every
-    # residual is exactly zero, which its zero bound certifies without an SVD
+    assert _hodge_svd_calls(cx, monkeypatch) == 2 * blocks == 4
+    # A^2 -> A^0 -> A^2 with zero maps: no differential keeps a value, and
+    # every residual is exactly zero, which its zero bound certifies
     mods = [ModuleSpec(alg, 2), ModuleSpec(alg, 0), ModuleSpec(alg, 2)]
     empty = ChainComplex(mods, [Morphism.zero(a, b) for a, b in zip(mods, mods[1:])])
-    assert _hodge_svd_calls(empty, monkeypatch) == 8
+    assert _hodge_svd_calls(empty, monkeypatch) == 0
 
 
 SUBNORMALS = [5e-324, 1e-320, 2.5e-310, 2.2250738585072009e-308]

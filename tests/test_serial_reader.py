@@ -12,6 +12,7 @@ import copy
 import gc
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -265,7 +266,8 @@ def _short(row: list):
 
 # Two faults in one file, and the one the number-by-number reader names: a
 # matrix's row shapes come before its entries, blocks go in file order, and
-# a sample's or a coefficient's own keys come after the maps before it.
+# a sample's or a coefficient's own keys come after the maps before it; a
+# mode listed twice is a fault of the second coefficient's keys.
 ORDERED = {
     "row-shape-after-number": (
         "complex",
@@ -287,6 +289,16 @@ ORDERED = {
         [(lambda c: c.__setitem__("q", ["a"]), ("coeffs", 2)), (_nan, ("coeffs", 1, "value", 1, 0, 0, 0))],
         "coeffs[1].value[1].block0[0][0]: expected a finite number, got nan",
     ),
+    "number-before-repeated-mode": (
+        "section",
+        [(lambda c: c.__setitem__("q", [-1]), ("coeffs", 2)), (_nan, ("coeffs", 1, "value", 1, 0, 0, 0))],
+        "coeffs[1].value[1].block0[0][0]: expected a finite number, got nan",
+    ),
+    "repeated-mode-before-its-number": (
+        "section",
+        [(lambda c: c.__setitem__("q", [0]), ("coeffs", 2)), (_nan, ("coeffs", 2, "value", 0, 0, 0, 0))],
+        "coeffs[2]: mode (0,) is listed twice, first in coeffs[1]",
+    ),
 }
 
 
@@ -304,6 +316,19 @@ def test_the_first_of_two_faults_in_reading_order_is_named(case):
         edit(_at(data, path))
     assert _outcome(READERS[fmt], data) == (ValidationError, message)
     assert _outcome(ORACLES[fmt], data) == (ValidationError, message)
+
+
+def test_a_mode_listed_twice_is_refused(tmp_path):
+    # the later coefficient used to overwrite the earlier one silently
+    data = _section_data()
+    data["coeffs"].append({"q": [0], "value": data["coeffs"][2]["value"]})
+    message = "coeffs[3]: mode (0,) is listed twice, first in coeffs[1]"
+    assert _outcome(READERS["section"], data) == (ValidationError, message)
+    assert _outcome(ORACLES["section"], data) == (ValidationError, message)
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        serial.load_section(str(path))
 
 
 def test_a_tuple_is_refused_as_a_complex_number():
