@@ -15,7 +15,9 @@ decided once, on D_i's own spectrum, and one thin SVD per block of D_i
 serves degrees i and i + 1; no Laplacian is decomposed.  g and p form a
 parametrix: g L + p = 1, L g + p = 1, L p = 0, and additionally g p = 0 so
 p is idempotent.  None of these holds by construction, so each residual
-checks the rank decisions and the ranges' orthogonality.  The parametrix
+checks the rank decisions and the ranges' orthogonality; L p = 0 and
+g L + p = 1 also bound L's spectrum on either side of a gap, which
+certifies that rank p is L's nullity (laplacian_gap).  The parametrix
 intertwines the differentials (p' D = 0, D g = g' D, D L = L' D), harmonic
 vectors represent cohomology classes bijectively, and every vector splits as
 harmonic + exact + coexact.  All of this is checked numerically by the test
@@ -60,6 +62,7 @@ __all__ = [
     "HodgeSplit",
     "HodgeIsomorphism",
     "HodgeReport",
+    "laplacian_gap",
     "verify_chain_map",
     "block_free_rank",
     "free_rank_of_projection",
@@ -281,9 +284,13 @@ class HodgeReport:
 
     harmonic_dim is the rank of the built projector (the sum over blocks of
     n_b trace R_p,b) and cohomology_dim is dim - rank D_i - rank D_{i-1};
-    both rest on the same rank decisions, and the residuals L p = 0 and
-    g L + p = 1 certify that harmonic_dim is L's nullity.  rank_margin is
-    the smaller of the two differentials' margins (hom.singular_rank).
+    both rest on the same rank decisions, so they agree on every input.
+    laplacian_nullity is the check on those decisions: harmonic_dim where
+    laplacian_gap = (upper, lower) certifies that L has that many
+    eigenvalues at most upper and all others at least lower > upper, else
+    None; dims_match compares it with cohomology_dim (laplacian_gap).
+    rank_margin is the smaller of the two differentials' margins
+    (hom.singular_rank).
     residuals are the parametrix identities of this degree alone, held to
     the report's tol; residual_exact[name] is True where the value is the
     operator norm and False where it is a Frobenius bound that passes.  The
@@ -294,12 +301,38 @@ class HodgeReport:
     module_dim: int
     harmonic_dim: int
     cohomology_dim: int
+    laplacian_nullity: Optional[int]
+    laplacian_gap: tuple
     dims_match: bool
     free_rank: Optional[int]
     rank_margin: float
     residuals: dict
     residual_exact: dict
     notes: tuple = field(default_factory=tuple)
+
+
+def laplacian_gap(par: Parametrix, residuals: dict) -> tuple:
+    """(upper, lower): L has rank p eigenvalues <= upper and the rest >= lower.
+
+    residuals are par's, each an upper bound on its operator norm.  By
+    Courant-Fischer on p's range, ||L p|| <= upper bounds rank p of L's
+    eigenvalues; on the complement, x = g L x - (g L + p - 1) x gives
+    ||L x|| >= (1 - ||g L + p - 1||) / ||g|| ||x||, with ||g|| bounded by
+    its Frobenius norm (hom.certified_norms with no limit, so no SVD on a
+    finite g).  Where upper < lower, L's nullity is rank p at any cut in
+    between.  p is treated as the orthogonal projector that the p p = p
+    residual checks it to be.
+    """
+    upper = residuals["laplacian_kills_projector"]
+    resolvent = residuals["green_laplacian_plus_projector"]
+    green = float(certified_norms(par.green.mats, np.inf)[0])
+    if resolvent >= 1.0:
+        lower = 0.0
+    elif green == 0.0:
+        lower = np.inf  # g L + p = 1 with g = 0: p is the identity
+    else:
+        lower = (1.0 - resolvent) / green
+    return upper, float(lower)
 
 
 class ChainComplex:
@@ -527,9 +560,10 @@ class ChainComplex:
         """Dimensions, margins and parametrix residuals of degree i.
 
         The harmonic dimension is the rank of the built projector, read from
-        its block traces; the residuals L p = 0 and g L + p = 1 certify that
-        it is L's nullity.  The margin is the smaller of the two
-        differentials' rank margins, the decisions p is built from.
+        its block traces, and it is L's nullity where the residuals L p = 0
+        and g L + p = 1 leave a spectral gap (laplacian_gap).  The margin is
+        the smaller of the two differentials' rank margins, the decisions p
+        is built from.
         """
         mod_dim = self.modules[i].concrete_dim
         rank_in, margin_in = self.differential(i - 1).rank_with_margin(cutoff)
@@ -541,12 +575,16 @@ class ChainComplex:
         harmonic_dim = int(round(sum(nb * np.trace(r).real for nb, r in zip(sizes, par.projector.mats))))
         free_rank = free_rank_of_projection(par.projector, tol)
         residuals, exact = par.certified_residuals(tol)
+        gap = laplacian_gap(par, residuals)
+        nullity = harmonic_dim if gap[0] < gap[1] else None
         return HodgeReport(
             degree=i,
             module_dim=mod_dim,
             harmonic_dim=harmonic_dim,
             cohomology_dim=cohomology_dim,
-            dims_match=harmonic_dim == cohomology_dim,
+            laplacian_nullity=nullity,
+            laplacian_gap=gap,
+            dims_match=nullity == cohomology_dim,
             free_rank=free_rank,
             rank_margin=min(margin_in, margin_out),
             residuals=residuals,

@@ -29,8 +29,8 @@ result depends on which of the two ran first.  The functions on per-block
 arrays (..., rows, cols) serve a single map and a stack of equal-shape
 maps alike: a stack (torus modes, symbol samples) takes one batched SVD
 per block and never becomes Morphisms.  A residual that only has to stay
-below a limit (chain's parametrix, chain-map and D D = 0 stacks, the torus
-de Rham suite's multiplier and D D = 0 stacks, projection_residuals) goes
+below a limit (chain's parametrix, chain-map and D D = 0 stacks,
+projection_residuals) goes
 through certified_norms: its largest blockwise Frobenius norm, an upper
 bound on the operator norm from one einsum per block, and the exact SVD
 value only where that bound does not already pass, so every verdict is the

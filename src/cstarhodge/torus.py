@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import AlgebraElement, _freeze
 from .chain import block_free_rank, laplacian_mats
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
-from .hom import block_singular_values, certified_norms, identity_morphism, merged_singular_values, singular_rank
+from .hom import _largest_singular, block_singular_values, identity_morphism, merged_singular_values, singular_rank
 from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
 from .symbol import _onto_target, _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
 
@@ -713,22 +713,7 @@ class FourierMultiplier:
 # -- de Rham complex -----------------------------------------------------------------------
 
 
-def _raise_max(rep: dict, key: str, values: np.ndarray, exact: np.ndarray):
-    """Raise rep[key] to the largest of certified_norms' values, keeping its label.
-
-    rep["residual_exact"][key] stays True where an operator norm attains
-    the maximum: it is then the largest norm itself, since every bound
-    lies above its own norm.
-    """
-    top = float(values.max())
-    attained = bool(exact[values == top].any())
-    if top > rep[key]:
-        rep[key], rep["residual_exact"][key] = top, attained
-    elif top == rep[key]:
-        rep["residual_exact"][key] |= attained
-
-
-def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10, tol: float = 1e-8) -> list:
+def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list:
     """Mode-diagonal harmonic analysis of the de Rham complex.
 
     Mode q has its own de Rham complex: the form fibers with the symbol maps
@@ -741,12 +726,9 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10, tol: fl
     Each mode's Laplacian is checked against the scalar multiplier
     4 pi^2 |q|^2, and its nullity, cut at that mode's own largest singular
     value, is accumulated; only the zero mode may contribute.  D D = 0 is
-    reported as the largest raw norm of consecutive symbol maps.  Both
-    residual stacks go through certified_norms against tol, so each maximum
-    is a Frobenius bound at most tol, or where residual_exact[key] is True
-    the operator norm.  Reports the concrete harmonic dimension, the free
-    rank from the zero mode's per-block nullities, and the expected
-    binomial(n, k) * fiber values.
+    reported as the largest raw norm of consecutive symbol maps.  Reports the
+    concrete harmonic dimension, the free rank from the zero mode's per-block
+    nullities, and the expected binomial(n, k) * fiber values.
     """
     n, r, sizes = geometry.dimension, geometry.fiber.rank, geometry.algebra.block_sizes
     modes, lam = geometry.modes, geometry.laplacian_values
@@ -766,7 +748,6 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10, tol: fl
             "kernel_modes": [],
             "max_multiplier_residual": 0.0,
             "max_square_residual": 0.0,
-            "residual_exact": {"max_multiplier_residual": True, "max_square_residual": True},
         }
         for k, slots in enumerate(len(exterior_basis(n, k)) for k in range(n + 1))
     ]
@@ -787,10 +768,10 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10, tol: fl
             rep["harmonic_dim"] += int(nullity.sum())
             rep["kernel_modes"] += [tuple(int(x) for x in q) for q in qs[nullity != 0]]
             residual = [x - lam[part, None, None] * e for x, e in zip(lap, idents[k])]
-            _raise_max(rep, "max_multiplier_residual", *certified_norms(residual, tol))
+            rep["max_multiplier_residual"] = max(rep["max_multiplier_residual"], float(_largest_singular(residual).max()))
             if k + 1 < n:
                 twice = [a @ b for a, b in zip(maps[k + 1], maps[k + 2])]
-                _raise_max(rep, "max_square_residual", *certified_norms(twice, tol))
+                rep["max_square_residual"] = max(rep["max_square_residual"], float(_largest_singular(twice).max()))
             if start <= zero < start + run:
                 # the zero mode's nullity in each block, cut as svals is
                 j = zero - start

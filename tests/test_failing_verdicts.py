@@ -29,7 +29,7 @@ from cstarhodge.module import ModuleSpec
 from cstarhodge.symbol import SampleSet, de_rham_symbol_sample
 from cstarhodge.util import rng_for
 from test_hom import _projective
-from test_residual_stacks import oracle_chain_map, oracle_residuals
+from test_residual_stacks import assert_gap_brackets_the_spectrum, oracle_chain_map, oracle_residuals
 
 
 def twisted_circle(eps: float, scale: float, seed) -> ChainComplex:
@@ -133,8 +133,10 @@ def test_well_posed_twisted_circles_pass(case, tmp_path):
 def test_thin_twisted_circle_has_the_right_dimensions(seed, tmp_path):
     # at eps = 1e-7 the Laplacian's smallest nonzero eigenvalue sits below
     # its squared cut, where a rank decision on L read dimension 4; the
-    # decision on D keeps it, and only the g residuals fail (their verdict
-    # waits for residuals scaled by their factors' norms)
+    # decision on D keeps it, the residuals L p = 0 and g L + p = 1 still
+    # leave a gap in L's spectrum that certifies nullity 2, and only the g
+    # residuals fail (their verdict waits for residuals scaled by their
+    # factors' norms)
     path = tmp_path / "twisted.json"
     serial.save_complex(str(path), twisted_circle(1e-7, 1.0, seed))
     code, report = _hodge(path)
@@ -143,7 +145,23 @@ def test_thin_twisted_circle_has_the_right_dimensions(seed, tmp_path):
     for section in report["sections"][:2]:
         assert section["info"]["cohomology_dim"] == 2
         (dims,) = [c for c in section["checks"] if c["name"] == "harmonic dim = cohomology dim"]
-        assert dims["passed"]
+        assert dims["passed"] and dims["value"] == 2
+        upper, lower = section["info"]["laplacian_gap"]
+        assert upper < lower
+
+
+@pytest.mark.parametrize("case, certified", [((1e-9, 1.0, None), True), ((1e-8, 1.0, 3), False), ((1e-9, 1.0, 3), False)])
+def test_laplacian_nullity_is_certified_only_across_a_gap(case, certified):
+    # the dimension check is not the rank arithmetic read twice: in a random
+    # frame at eps = 1e-8 and below, L's eigenvalue 4 pi^2 eps^2 sits under
+    # the roundoff of L p, no gap separates it, and the check FAILs with the
+    # same harmonic and cohomology dimension 2; the identity frame, whose
+    # L p is exact, still certifies it at eps = 1e-9
+    cx = twisted_circle(*case)
+    for i in range(2):
+        rep = assert_gap_brackets_the_spectrum(cx, i)
+        assert rep.harmonic_dim == rep.cohomology_dim == 2
+        assert rep.dims_match is certified
 
 
 def _run_stderr(argv) -> tuple:

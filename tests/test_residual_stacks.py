@@ -96,6 +96,39 @@ def test_residuals_are_bitwise_the_compositions(blocks):
         assert verify_chain_map(cx, family)["passed"]
 
 
+def assert_gap_brackets_the_spectrum(cx, i):
+    """cohomology_report(i)'s laplacian_gap against the shadow's eigenvalues.
+
+    The rank p smallest eigenvalues of L lie at or below upper and the rest
+    at or above lower, up to eigvalsh's own roundoff; the check's value is
+    the nullity exactly where upper < lower.  A projective module's shadow
+    adds one zero eigenvalue per dimension outside its projection.
+    """
+    rep = cx.cohomology_report(i)
+    upper, lower = rep.laplacian_gap
+    lap = cx.laplacian(i).embed()
+    eigs = np.linalg.eigvalsh(lap) if lap.size else np.zeros(0)
+    slack = 1e-13 * max(1.0, np.abs(eigs).max(initial=0.0))
+    k = rep.harmonic_dim + lap.shape[0] - rep.module_dim
+    assert eigs[:k].max(initial=-np.inf) <= upper + slack
+    assert eigs[k:].min(initial=np.inf) >= lower * (1 - 1e-12) - slack
+    assert rep.laplacian_nullity == (rep.harmonic_dim if upper < lower else None)
+    assert rep.dims_match == (rep.laplacian_nullity == rep.cohomology_dim)
+    return rep
+
+
+@pytest.mark.parametrize("blocks", ORACLE_ALGEBRAS)
+def test_laplacian_gap_brackets_the_spectrum(blocks):
+    # the check "harmonic dim = cohomology dim" compares L's nullity,
+    # certified by the residuals L p = 0 and g L + p = 1, with the rank
+    # arithmetic; on these well-posed complexes the gap is wide and it holds
+    rng = rng_for(19, "laplacian-gap", len(blocks) * 10 + blocks[-1])
+    for cx in _complexes(AlgebraSpec(blocks), rng):
+        for i in range(len(cx.modules)):
+            rep = assert_gap_brackets_the_spectrum(cx, i)
+            assert rep.dims_match
+
+
 # the residuals that move when g alone is perturbed; perturbing p moves all five
 MOVED_BY_GREEN = ("green_laplacian_plus_projector", "laplacian_green_plus_projector", "green_kills_projector")
 

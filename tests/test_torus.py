@@ -622,40 +622,9 @@ def test_harmonic_report_equals_mode_by_mode(n, band, blocks, rank, cutoff):
     # the stacked report reads the same numbers, bit for bit, as a loop over
     # the modes with one complex each; a cutoff of 2 drops every singular
     # value, so every mode lands in the kernel and the free rank must still
-    # come from the zero mode alone; at tol 0 no residual passes as a bound,
-    # so each maximum is an operator norm
+    # come from the zero mode alone
     geo = TorusGeometry(n, band, ModuleSpec(AlgebraSpec(blocks), rank))
-    got = harmonic_rank_report(geo, cutoff, tol=0.0)
-    _assert_same_reports(got, _report_mode_by_mode(geo, cutoff))
-    assert all(all(rep["residual_exact"].values()) for rep in got)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    n=st.integers(1, 3),
-    band=st.integers(0, 2),
-    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
-    rank=st.integers(1, 2),
-    tol=st.sampled_from([1e-8, 1e-15, 1e-17]),
-)
-def test_harmonic_report_residuals_are_certified(n, band, blocks, rank, tol):
-    # against tol a residual maximum is a Frobenius bound at most tol, at
-    # least the operator norm and at most sqrt(rows) times it, or it is the
-    # operator norm itself; the verdicts are the exact ones
-    geo = TorusGeometry(n, band, ModuleSpec(AlgebraSpec(blocks), rank))
-    exact_reports = harmonic_rank_report(geo, tol=0.0)
-    rows = max(geo.form_fiber(k).rank for k in range(n + 1)) * max(blocks)
-    for got, want in zip(harmonic_rank_report(geo, tol=tol), exact_reports, strict=True):
-        labelled = got["residual_exact"]
-        assert all(got[k] == v for k, v in want.items() if k != "residual_exact" and k not in labelled)
-        for key, is_exact in labelled.items():
-            value, norm = got[key], want[key]
-            if is_exact:
-                assert value == norm
-            else:
-                assert norm <= value <= tol
-                assert value <= math.sqrt(rows) * norm * (1 + 1e-12)
-            assert (value <= tol) == (norm <= tol)
+    _assert_same_reports(harmonic_rank_report(geo, cutoff), _report_mode_by_mode(geo, cutoff))
 
 
 def test_harmonic_report_runs_of_modes_stay_within_budget(monkeypatch):
@@ -664,7 +633,7 @@ def test_harmonic_report_runs_of_modes_stay_within_budget(monkeypatch):
     # projective, where the report must still read as one complex per mode
     fiber = ModuleSpec(AlgebraSpec((1, 2)), 2, projection=(np.eye(2), np.diag([1.0, 1, 1, 0])))
     geo = TorusGeometry(2, 1, fiber)
-    want = harmonic_rank_report(geo, tol=0.0)
+    want = harmonic_rank_report(geo)
     _assert_same_reports(want, _report_mode_by_mode(geo))
     sizes, laplacians = [], []
     for name in ("_scalar_mats", "laplacian_mats", "block_singular_values"):
@@ -679,7 +648,7 @@ def test_harmonic_report_runs_of_modes_stay_within_budget(monkeypatch):
 
         monkeypatch.setattr(torus, name, spy)
     monkeypatch.setattr(torus, "MAX_MODULE_DIM", 40)  # widest form fiber: 2 * 2 * 5 = 20
-    got = harmonic_rank_report(geo, tol=0.0)
+    got = harmonic_rank_report(geo)
     assert laplacians == [4] * 3 + [4] * 3 + [1] * 3  # 9 modes in runs of 40^2 // 20^2
     assert 0 < max(sizes) <= 40**2
     _assert_same_reports(got, want)
