@@ -30,16 +30,16 @@ arrays (..., rows, cols) serve a single map and a stack of equal-shape
 maps alike: a stack (torus modes, symbol samples) takes one batched SVD
 per block and never becomes Morphisms.  A residual that only has to stay
 below a limit (chain's parametrix, chain-map and D D = 0 stacks,
-projection_residuals) goes
-through certified_norms: its largest blockwise Frobenius norm, an upper
-bound on the operator norm from one einsum per block, and the exact SVD
-value only where that bound does not already pass, so every verdict is the
-exact one.  The rank decision (singular_rank) runs on numpy for stacked
-spectra and as a plain-Python loop for one spectrum, with the same result
-bit for bit.  A map between projective modules must not leak outside them,
-R_b = P_source,b R_b P_target,b (projection_residuals).  The shadow
-(``embed``) and its pullback ``morphism_from_concrete`` stay as the
-oracles the tests check these numerics against.
+projection_residuals) goes through certified_norms: its largest blockwise
+Frobenius norm, an upper bound on the operator norm from one einsum per
+block, and the exact SVD value only where that bound does not already pass,
+so every verdict is the exact one.  The rank decision (singular_rank)
+runs on numpy for stacked spectra and as a plain-Python loop for one
+spectrum, with the same result bit for bit.  A map between projective
+modules must not leak outside them, R_b = P_source,b R_b P_target,b
+(projection_residuals).  The shadow (``embed``) and its pullback
+``morphism_from_concrete`` stay as the oracles the tests check these
+numerics against.
 """
 
 from __future__ import annotations
