@@ -491,16 +491,22 @@ class ChainComplex:
         ]
 
     def harmonic_basis(self, i: int, cutoff: float = 1e-10) -> list:
-        """Orthonormal concrete basis of Ker L_i inside the module.
+        """Orthonormal concrete basis of Ker L_i inside the module: the range
+        of the parametrix's projector p.
 
-        Each null row x of block b gives n_b basis vectors, x written into
-        one row of that block's row matrix at a time.
+        p is built from the differentials' kept singular triples, so the
+        basis rests on the rank decisions cohomology_report counts, not on
+        a cut of L's own spectrum.  Per block, the harmonic rows are the
+        eigenvectors of the Hermitian R_p with eigenvalue above 1/2, written
+        as rows (x R_p = x).  Each row x of block b gives n_b basis vectors,
+        x written into one row of that block's row matrix at a time.
         """
         mod = self.modules[i]
         sizes = self.algebra.block_sizes
         basis = []
-        for b, rows in enumerate(self._kernel_rows(i, [self.laplacian(i)], cutoff)):
-            for x in rows:
+        for b, r in enumerate(self.parametrix(i, cutoff).projector.mats):
+            w, v = np.linalg.eigh(r)
+            for x in v[:, w > 0.5].conj().T:
                 for a in range(sizes[b]):
                     vec_rows = mod._zero_rows()
                     vec_rows[b][a] = x
@@ -508,11 +514,14 @@ class ChainComplex:
         return basis
 
     def kernel_intersection_check(self, i: int, cutoff: float = 1e-10) -> dict:
-        """Ker L = Ker D intersected with Ker D_prev*, by dimension and residual."""
-        lap = self.laplacian(i)
+        """Ker L = Ker D intersected with Ker D_prev*, by dimension and residual.
+
+        laplacian_nullity is cohomology_report's: the rank of p where a
+        spectral gap of L certifies it, else None, which matches nothing.
+        """
         d_out = self.differential(i)
         d_in_adj = self.differential(i - 1).adjoint()
-        nullity_lap = self.modules[i].concrete_dim - lap.concrete_rank(cutoff)
+        nullity_lap = self.cohomology_report(i, cutoff).laplacian_nullity
         rows = self._kernel_rows(i, [d_out, d_in_adj], cutoff)
         nullity_stack = sum(
             nb * len(r) for nb, r in zip(self.algebra.block_sizes, rows)

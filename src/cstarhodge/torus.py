@@ -68,8 +68,13 @@ LATTICE_CACHE_SIZE = 64
 # pairs), 33 s and 605 MB at n = 13.
 MAX_FORM_SLOTS = 4096
 
-# Largest grid points * modes that embedding_check evaluates: the phase
-# matrix of norm_at_points holds that many complex numbers (16 MiB).
+# Largest grid points * modes that embedding_check evaluates, and the most
+# entries per block that a run of the embedding or regularity suite stacks:
+# the phase matrix and each such stack hold up to that many complex numbers,
+# 16 MiB apiece.  That is not the suite's footprint: at the cap the
+# embedding suite holds the phase matrix, a run's value stack and the fiber
+# norms' temporaries (below 3/4 of the stack) at once, and peaks at about
+# 48 MiB under tracemalloc.
 MAX_GRID_PHASES = 1 << 20
 
 
@@ -295,32 +300,60 @@ def _fiber_norms_sq(stacks) -> np.ndarray:
     stacks holds one (..., n_b, m*n_b) array per algebra block, all with the
     same leading axes; |u|^2 is the largest eigenvalue of the fiber Gram
     U_b U_b* over the blocks.  For n_b <= 2 it comes in closed form from the
-    rows u_0, u_1 of U_b, each sum taken over the real and imaginary views
-    with no Gram and no conjugate copy: |u_0|^2 for n_b = 1, and for n_b = 2,
-    with a = |u_0|^2, d = |u_1|^2 and c = <u_0, u_1>,
+    rows u_0, u_1 of U_b, in one pass over the float view of the stack (real
+    and imaginary parts interleaved), with no Gram and no conjugate copy:
+    |u_0|^2 for n_b = 1, and for n_b = 2, with a = |u_0|^2, d = |u_1|^2,
+    c = <u_0, u_1> and s = max(a, d),
 
-        (a + d)/2 + hypot((a - d)/2, |c|),
+        (a + d)/2 + s sqrt(((a - d)/2s)^2 + |c/s|^2).
 
-    which overflows only where the Gram itself would.  Larger blocks take
-    one eigvalsh over the stack of Grams.
+    Both terms under the root are at most 1, since |c|^2 <= a d, so the
+    result overflows only where a row norm, and so the Gram, does: there it
+    is inf, and where s = 0 the Gram is zero and so is the result.  The
+    temporaries are a few floats per fiber, reused in place.  Larger blocks
+    take one eigvalsh over the stack of Grams.  embedding_checks takes the
+    max of these over grid points before the sqrt.
     """
-    out = np.zeros(stacks[0].shape[:-2])
+    out = None
     for b in stacks:
-        if b.shape[-2] > 2:
-            lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))[..., -1]
+        nb = b.shape[-2]
+        if nb > 2:
+            lam = np.maximum(np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))[..., -1], 0.0)
         else:
-            re, im = b.real, b.imag
-            sq = np.einsum("...ij,...ij->...i", re, re) + np.einsum("...ij,...ij->...i", im, im)
-            if b.shape[-2] == 1:
-                lam = sq[..., 0]
-            else:
-                a, d = sq[..., 0], sq[..., 1]
-                r0, r1, i0, i1 = re[..., 0, :], re[..., 1, :], im[..., 0, :], im[..., 1, :]
-                c_re = np.einsum("...j,...j->...", r0, r1) + np.einsum("...j,...j->...", i0, i1)
-                c_im = np.einsum("...j,...j->...", i0, r1) - np.einsum("...j,...j->...", r0, i1)
-                lam = 0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), np.hypot(c_re, c_im))
-        out = np.maximum(out, lam)
+            f = np.ascontiguousarray(b, dtype=complex).view(float)
+            sq = np.einsum("...ij,...ij->...i", f, f)
+            lam = _top_eigenvalue(sq[..., 0], sq[..., 1], f[..., 0, :], f[..., 1, :]) if nb == 2 else sq[..., 0]
+        out = lam if out is None else np.maximum(out, lam, out=out)
     return out
+
+
+def _top_eigenvalue(a, d, u0, u1) -> np.ndarray:
+    """Largest eigenvalue of [[a, c], [c*, d]] with c = <u_0, u_1>, from the
+    float views u_0, u_1 of the rows (re, im interleaved); overwrites a."""
+    c_re = np.einsum("...j,...j->...", u0, u1)
+    c_im = np.einsum("...j,...j->...", u0[..., 1::2], u1[..., ::2])
+    c_im -= np.einsum("...j,...j->...", u0[..., ::2], u1[..., 1::2])
+    s = np.maximum(a, d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c_re /= s
+        c_im /= s
+        np.square(c_re, out=c_re)
+        np.square(c_im, out=c_im)
+        c_re += c_im
+        lam = np.subtract(a, d, out=c_im)
+        lam /= s
+        lam *= 0.5
+        np.square(lam, out=lam)
+        lam += c_re
+        np.sqrt(lam, out=lam)
+        lam *= s
+        a += d
+        a *= 0.5
+        lam += a
+    # 0/0 where the Gram is zero and inf/inf where a row norm overflows: s itself is the answer
+    bad = np.isnan(lam)
+    lam[bad] = s[bad]
+    return lam
 
 
 def _check_multi_index(alpha, n: int) -> tuple:
@@ -636,8 +669,9 @@ def embedding_checks(
                 f"{MAX_GRID_PHASES}"
             )
     if np.isscalar(grid):
+        # the points of itertools.product(per_axis, repeat=n), in its order
         per_axis = np.arange(int(grid)) / float(grid)
-        pts = np.array(list(itertools.product(per_axis, repeat=n))).reshape(-1, n)
+        pts = np.stack(np.meshgrid(*[per_axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
     count = len(pts)
 
     phases = _phase_matrix(geometry, pts)
@@ -656,7 +690,8 @@ def embedding_checks(
                 .reshape(len(run), len(checked), count, *b.shape[-2:])
                 for b in stacks
             ]
-            sups = np.sqrt(_fiber_norms_sq(values)).max(axis=-1)
+            # sqrt is monotone and correctly rounded: the max of the roots, bit for bit
+            sups = np.sqrt(_fiber_norms_sq(values).max(axis=-1))
         else:
             sups = np.zeros((len(run), len(checked)))
         for norm_t, sup in zip(norms.tolist(), sups.tolist()):

@@ -164,6 +164,24 @@ def test_laplacian_nullity_is_certified_only_across_a_gap(case, certified):
         assert rep.dims_match is certified
 
 
+@pytest.mark.parametrize("case, certified", [((1e-6, 1.0, None), True), ((1e-7, 1.0, 3), True), ((1e-8, 1.0, 3), False)])
+def test_harmonic_basis_rests_on_the_rank_decisions_of_p(case, certified):
+    # at eps = 1e-6 L's eigenvalue (2 pi eps)^2 lies below cutoff times its
+    # largest, so a cut on L's own spectrum read 4 harmonic vectors in
+    # degree 0, two of them moved by D by 2 pi eps; the basis is p's range
+    # and its nullity is cohomology_report's, None where no gap certifies it
+    cx = twisted_circle(*case)
+    eps = np.finfo(float).eps
+    for i in range(2):
+        basis = cx.harmonic_basis(i)
+        rep = cx.kernel_intersection_check(i)
+        assert len(basis) == cx.cohomology_report(i).harmonic_dim == rep["intersection_nullity"] == 2
+        assert rep["laplacian_nullity"] == (2 if certified else None)
+        assert rep["dims_match"] is certified
+        bound = 16 * eps * cx.differential(0).norm()
+        assert rep["differential_on_harmonics"] <= bound and rep["adjoint_on_harmonics"] <= bound
+
+
 def _run_stderr(argv) -> tuple:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -380,16 +380,20 @@ def test_matrix_rows_checked_before_allocation(monkeypatch):
     ids=["form-slots", "embedding-grid"],
 )
 def test_cli_torus_demo_size_caps(argv, message, capsys, monkeypatch):
+    # itertools.product lists the modes and np.meshgrid the grid points
+    # (tests/test_torus.py::test_embedding_grid_cap shows that it does)
     real = itertools.product
 
-    def modes_only(*args, **kwargs):
-        if any(isinstance(a, np.ndarray) for a in args):
-            raise AssertionError("grid points listed before the size was checked")
+    def modes_unless_refused(*args, **kwargs):
         if argv[1] == "13":
             raise AssertionError("modes listed before the geometry was validated")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(itertools, "product", modes_only)
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid points listed before the size was checked")
+
+    monkeypatch.setattr(itertools, "product", modes_unless_refused)
+    monkeypatch.setattr(np, "meshgrid", no_grid)
     assert run_cli(["torus-demo", "--fiber", "1x1"] + argv)[0] == 2
     assert message in capsys.readouterr().err
 

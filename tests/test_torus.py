@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -427,21 +428,15 @@ def test_form_slot_cap_boundary(monkeypatch):
             TorusGeometry(n, band, SCALAR)
 
 
-def _grid_guard(real):
-    """itertools.product that lists modes (ranges) but fails on grid axes (arrays)."""
-
-    def guarded(*args, **kwargs):
-        if any(isinstance(a, np.ndarray) for a in args):
-            raise AssertionError("grid points listed before the size was checked")
-        return real(*args, **kwargs)
-
-    return guarded
+def _no_grid(*args, **kwargs):
+    raise AssertionError("grid points listed before the size was checked")
 
 
 def test_embedding_grid_cap(monkeypatch):
-    monkeypatch.setattr(itertools, "product", _grid_guard(itertools.product))
     geo = TorusGeometry(3, 3, SCALAR)
     s = random_section(geo, 0, rng_for(6, "torus-grid-cap", 0))
+    # np.meshgrid lists the points of an integer grid
+    monkeypatch.setattr(np, "meshgrid", _no_grid)
 
     def no_phases(*args, **kwargs):
         raise AssertionError("phases computed before the size was checked")
@@ -453,8 +448,10 @@ def test_embedding_grid_cap(monkeypatch):
     pts = np.zeros((torus.MAX_GRID_PHASES // geo.num_modes + 1, 3))
     with pytest.raises(ValidationError, match="exceed the cap"):
         embedding_check(s, 4.0, (0, 0, 0), grid=pts)
-    # the patched function is the one that builds the phases: a grid under
-    # the cap reaches it, so the guard above is not vacuous
+    # the patched functions are the ones that list the points and build the
+    # phases: a grid under the cap reaches them, so the guards are not vacuous
+    with pytest.raises(AssertionError, match="grid points listed"):
+        embedding_check(s, 4.0, (0, 0, 0), grid=2)
     with pytest.raises(AssertionError, match="phases computed"):
         embedding_check(s, 4.0, (0, 0, 0), grid=np.zeros((2, 3)))
 
@@ -782,6 +779,16 @@ def _fiber_stack(rng, lead, nb, cols, kind):
 
     if kind == "zero":
         return np.zeros((*lead, nb, cols), dtype=complex)
+    if kind == "zero_row":  # the last row zero, the others random
+        out = normal(*lead, nb, cols)
+        out[..., -1, :] = 0.0
+        return out
+    if kind in ("lopsided", "subnormal"):
+        # the rows below the first 1e-150 times smaller, or 1e-160 times,
+        # where at scale 1 their squares are subnormal
+        out = normal(*lead, nb, cols)
+        out[..., 1:, :] *= 1e-150 if kind == "lopsided" else 1e-160
+        return out
     if kind == "parallel":  # every row a multiple of one vector
         return normal(*lead, nb, 1) * normal(*lead, 1, cols)
     if kind == "orthogonal":  # row j holds i^j v in its own columns: equal norms, <u_j, u_k> = 0
@@ -799,10 +806,14 @@ def _fiber_stack(rng, lead, nb, cols, kind):
 @example(blocks=(2,), cols=6, kind="orthogonal", scale=1e150, seed=0)
 @example(blocks=(1, 2, 3), cols=6, kind="parallel", scale=1e-150, seed=0)
 @example(blocks=(2, 2), cols=0, kind="random", scale=1.0, seed=0)
+@example(blocks=(2,), cols=4, kind="lopsided", scale=1e150, seed=0)  # rows at 1e150 against 1
+@example(blocks=(1, 2), cols=4, kind="zero_row", scale=1.0, seed=0)
+@example(blocks=(2,), cols=4, kind="zero", scale=1.0, seed=0)
+@example(blocks=(2, 3), cols=6, kind="subnormal", scale=1.0, seed=0)
 @given(
     blocks=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3).map(tuple),
     cols=st.integers(0, 6),
-    kind=st.sampled_from(["random", "zero", "parallel", "orthogonal"]),
+    kind=st.sampled_from(["random", "zero", "zero_row", "parallel", "orthogonal", "lopsided", "subnormal"]),
     scale=st.sampled_from([1.0, 1e150, 1e-150]),
     seed=st.integers(0, 2**16),
 )
@@ -823,6 +834,45 @@ def test_fiber_norms_match_eigvalsh_oracle(blocks, cols, kind, scale, seed):
     assert got.shape == want.shape == lead
     assert np.isfinite(got[np.isfinite(want)]).all()
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+
+
+def test_fiber_norms_at_the_ends_of_the_float_range():
+    # an entry of 1e200 overflows its row norm and the Gram: the norm is inf
+    # there (a ratio over max(a, d) alone would read inf/inf = nan), and the
+    # other fibers keep their finite values
+    rng = np.random.default_rng(0)
+    for nb in (1, 2):
+        b = _fiber_stack(rng, (4,), nb, 4, "random")
+        big = b.copy()
+        big[1, -1, 2] = 1e200
+        with np.errstate(over="ignore"):
+            got = torus._fiber_norms_sq([big])
+        assert got[1] == np.inf
+        keep = [0, 2, 3]
+        assert np.array_equal(got[keep], torus._fiber_norms_sq([b])[keep])
+    # subnormal squares of dyadic entries, all exact: orthogonal rows give
+    # max(a, d), and a zero Gram gives 0
+    tiny = 2.0**-535
+    b = np.array([[[tiny, 1j * tiny], [0.0, 0.0]],
+                  [[tiny, 0.0], [0.0, 0.5j * tiny]],
+                  [[0.0, 0.0], [0.0, 0.0]]])
+    assert torus._fiber_norms_sq([b]).tolist() == [2.0**-1069, 2.0**-1070, 0.0]
+
+
+def test_fiber_norms_allocate_less_than_the_stack():
+    # on a stack of MAX_GRID_PHASES entries, the largest the suites pass, the
+    # closed form's temporaries stay below 3/4 of the stack itself: a few
+    # floats per fiber, no conjugate copy, no Gram, no per-part copies
+    rng = np.random.default_rng(0)
+    for nb in (1, 2):
+        b = rng.standard_normal(2 * torus.MAX_GRID_PHASES).view(complex).reshape(-1, nb, nb)
+        tracemalloc.start()
+        try:
+            torus._fiber_norms_sq([b])
+            extra = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert extra <= 0.75 * b.nbytes
 
 
 def _demo_report(sections, suite="all"):
