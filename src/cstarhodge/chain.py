@@ -10,9 +10,10 @@ with no term beyond the ends.  Since D_i D_{i-1} = 0, L_i splits along
 Rng D_{i-1} + Rng D_i* + Ker L_i, so its Moore-Penrose pseudoinverse g is
 the sum of the two differentials' squared pseudoinverses and the harmonic
 projection p is 1 minus the projections onto those two ranges.  Both are
-built from each differential's kept singular triples: the rank of D_i is
-decided once, on D_i's own spectrum, and one thin SVD per block of D_i
-serves degrees i and i + 1; no Laplacian is decomposed.  g and p form a
+built from each differential's kept singular triples (Morphism.kept_svd):
+the rank of D_i is decided once, by hom.rank_rule on D_i's own spectrum,
+and one thin SVD per block of D_i serves degrees i and i + 1; no
+Laplacian is decomposed.  g and p form a
 parametrix: g L + p = 1, L g + p = 1, L p = 0, and additionally g p = 0 so
 p is idempotent.  None of these holds by construction, so each residual
 checks the rank decisions and the ranges' orthogonality; L p = 0 and
@@ -50,7 +51,7 @@ from .errors import (
     NotACocycle,
     SpecMismatch,
 )
-from .hom import Morphism, certified_norms, identity_mats, identity_morphism, random_morphism
+from .hom import Morphism, certified_norms, identity_mats, identity_morphism, random_morphism, rank_rule
 from .module import ModuleSpec, ModuleVector, inner_product
 
 __all__ = [
@@ -290,7 +291,7 @@ class HodgeReport:
     eigenvalues at most upper and all others at least lower > upper, else
     None; dims_match compares it with cohomology_dim (laplacian_gap).
     rank_margin is the smaller of the two differentials' margins
-    (hom.singular_rank).
+    (hom.rank_rule).
     residuals are the parametrix identities of this degree alone, held to
     the report's tol; residual_exact[name] is True where the value is the
     operator norm and False where it is a Frobenius bound that passes.  The
@@ -363,7 +364,6 @@ class ChainComplex:
         self._padded = [Morphism.zero(zero, modules[0]), *differentials, Morphism.zero(modules[-1], zero)]
         self._laplacians: dict = {}
         self._parametrices: dict = {}
-        self._kept: dict = {}
         self._squares: dict = {}
         self.square_residuals(tol, strict=True)
 
@@ -406,42 +406,24 @@ class ChainComplex:
             self._laplacians[i] = Morphism(mod, mod, mats)
         return self._laplacians[i]
 
-    def _kept_svd(self, j: int, cutoff: float) -> list:
-        """Per block, D_j's kept singular triples (U, S, Vh), or None where it keeps none.
-
-        The kept values are the ones rank_with_margin keeps, counted per
-        block on D_j's values-only spectra (Morphism.kept_counts), and the
-        triples come from one thin SVD of each block that keeps any.  They
-        are cached per cutoff, so both degrees of D_j share them.
-        """
-        key = (j, cutoff)
-        if key not in self._kept:
-            d = self.differential(j)
-            triples = []
-            for r, k in zip(d.mats, d.kept_counts(cutoff)):
-                if k:
-                    u, s, vh = np.linalg.svd(r, full_matrices=False)
-                    triples.append((u[:, :k], s[:k], vh[:k]))
-                else:
-                    triples.append(None)
-            self._kept[key] = triples
-        return self._kept[key]
-
     def parametrix(self, i: int, cutoff: float = 1e-10) -> Parametrix:
         """Green operator and harmonic projector of degree i from its differentials' kept triples.
 
         With D_{i-1} = U_in S_in Vh_in and D_i = U_out S_out Vh_out per block,
-        cut to their kept values, R_g = Vh_in* S_in^-2 Vh_in + U_out S_out^-2
-        U_out* and R_p = 1 - Vh_in* Vh_in - U_out U_out*: the projections onto
-        Rng D_{i-1} and Rng D_i* are taken out of the module's identity.  No
-        Laplacian is decomposed, and no identity holds by construction.
+        cut to their kept values (Morphism.kept_svd, cached on the map, so
+        both degrees of a differential share them), R_g = Vh_in* S_in^-2
+        Vh_in + U_out S_out^-2 U_out* and R_p = 1 - Vh_in* Vh_in - U_out
+        U_out*: the projections onto Rng D_{i-1} and Rng D_i* are taken out
+        of the module's identity.  No Laplacian is decomposed, and no
+        identity holds by construction.
         """
         key = (i, cutoff)
         if key not in self._parametrices:
             lap = self.laplacian(i)
             mod = self.modules[i]
             green, projector = [], []
-            for one, low, high in zip(identity_mats(mod), self._kept_svd(i - 1, cutoff), self._kept_svd(i, cutoff)):
+            d_in, d_out = self.differential(i - 1), self.differential(i)
+            for one, low, high in zip(identity_mats(mod), d_in.kept_svd(cutoff), d_out.kept_svd(cutoff)):
                 g, p = np.zeros_like(one), one.copy()
                 if low is not None:
                     _, s, vh = low
@@ -470,9 +452,8 @@ class ChainComplex:
         U_b R_b.  The module's rows are y Q_b* for an orthonormal basis Q_b
         of the range of P_b (all of C^{m n_b} for a free module), so the
         kernel rows are y Q_b* for y in the left null space of Q_b* times
-        the side-by-side stack of the ops' R_b.  As in cohomology_report,
-        singular values at or below cutoff times the largest over all
-        blocks count as zero; ops that are all zero leave the whole module.
+        the side-by-side stack of the ops' R_b, past the values hom.rank_rule
+        keeps; ops that are all zero leave the whole module.
         """
         mod = self.modules[i]
         frames, svds = [], []
@@ -484,11 +465,8 @@ class ChainComplex:
                 frame = v[:, w > 0.5]
             frames.append(frame)
             svds.append(np.linalg.svd(frame.conj().T @ np.hstack([op.mats[b] for op in ops])))
-        smax = max((f.S[0] for f in svds if f.S.size), default=0.0)
-        return [
-            f.U[:, np.count_nonzero(f.S > cutoff * smax) :].conj().T @ q.conj().T
-            for f, q in zip(svds, frames)
-        ]
+        kept = rank_rule([f.S for f in svds], self.algebra.block_sizes, cutoff)[2]
+        return [f.U[:, k:].conj().T @ q.conj().T for f, k, q in zip(svds, kept, frames)]
 
     def harmonic_basis(self, i: int, cutoff: float = 1e-10) -> list:
         """Orthonormal concrete basis of Ker L_i inside the module: the range
@@ -617,7 +595,8 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
     "exact" to {name: True where the value is the operator norm, False
     where it is a Frobenius bound at most tol}.  The maps of parametrices i
     and i + 1 must be endomorphisms of D_i's source and target, else
-    SpecMismatch.
+    SpecMismatch.  A LinAlgError from a differential's SVD names that
+    differential.
     """
     parametrices = list(parametrices)
     if len(parametrices) != complex_.top_degree + 1:
@@ -648,7 +627,10 @@ def verify_chain_map(complex_: ChainComplex, parametrices, tol: float = 1e-8) ->
                 high.projector.mats,
             )
         ]
-        values, exact = certified_norms(stacks, tol)
+        try:
+            values, exact = certified_norms(stacks, tol)
+        except np.linalg.LinAlgError as e:
+            raise np.linalg.LinAlgError(f"chain map at differential {i}: {e}") from e
         values = values.tolist()
         degrees.append({
             "degree": i,

@@ -18,28 +18,22 @@ conjugate transpose of each R_b.
 Flattening each module by ModuleVector.vec turns T into its dense shadow
 sum_b I_{n_b} (x) R_b^T, so the shadow's singular values are those of the
 R_b, each repeated n_b times, and its pseudoinverse is the module map with
-blocks pinv(R_b).  Rank decisions cut at a fraction of the largest singular
-value over all blocks.  A map's singular values come from one values-only
-SVD per block, cached on the map with each block's own spectrum, so
-kept_counts says how many values per block rank_with_margin keeps;
-chain's parametrix takes a thin SVD of a differential's blocks only to
-get the kept singular vectors, and never decomposes a Laplacian.
-pseudoinverse cuts at the largest value of its own thin SVDs, so neither
-result depends on which of the two ran first.  The functions on per-block
-arrays (..., rows, cols) serve a single map and a stack of equal-shape
-maps alike: a stack (torus modes, symbol samples) takes one batched SVD
-per block and never becomes Morphisms.  A residual that only has to stay
-below a limit (chain's parametrix, chain-map and D D = 0 stacks,
-projection_residuals) goes through certified_norms: its largest blockwise
-Frobenius norm, an upper bound on the operator norm from one einsum per
-block, and the exact SVD value only where that bound does not already pass,
-so every verdict is the exact one.  The rank decision (singular_rank)
-runs on numpy for stacked spectra and as a plain-Python loop for one
-spectrum, with the same result bit for bit.  A map between projective
-modules must not leak outside them, R_b = P_source,b R_b P_target,b
-(projection_residuals).  The shadow (``embed``) and its pullback
-``morphism_from_concrete`` stay as the oracles the tests check these
-numerics against.
+blocks pinv(R_b).  Every rank decision is rank_rule's: keep the values
+above cutoff times the largest value over all blocks.  A map's
+values-only spectra, one SVD per block, are cached on the map, and so are
+its kept singular triples (kept_svd), one thin SVD per block that keeps a
+value, which the pseudoinverse and chain's parametrix share.  The
+functions on per-block arrays (..., rows, cols) serve a single map and a
+stack of equal-shape maps alike: a stack (torus modes, symbol samples)
+takes one batched SVD per block and never becomes Morphisms.  A residual
+that only has to stay below a limit goes through certified_norms: its
+largest blockwise Frobenius norm, an upper bound on the operator norm
+from one einsum per block, and the exact SVD value only where that bound
+does not already pass, so every verdict is the exact one.  A map between
+projective modules must not leak outside them, R_b = P_source,b R_b
+P_target,b (projection_residuals).  The shadow (``embed``) and its
+pullback ``morphism_from_concrete`` stay as the oracles the tests check
+these numerics against.
 """
 
 from __future__ import annotations
@@ -61,6 +55,7 @@ __all__ = [
     "morphism_from_concrete",
     "projection_residuals",
     "random_morphism",
+    "rank_rule",
     "singular_rank",
 ]
 
@@ -179,54 +174,62 @@ def projection_residuals(mats, source: ModuleSpec, target: ModuleSpec, norms, to
     return certified_norms([r - w for r, w in zip(mats, wrapped)], tol * scale)[0] / scale
 
 
-def singular_rank(svals, cutoff: float):
-    """Rank decision on descending singular spectra with a relative cutoff.
+def rank_rule(spectra, sizes, cutoff: float) -> tuple:
+    """(rank, margin, kept): the one rank decision, on descending per-block spectra (..., k_b).
 
-    Returns (rank, margin) where margin says how decisively the values split:
-    the factor by which the smallest kept value clears cutoff*smax and the
-    largest nonzero dropped value stays below it.  All kept or all dropped
-    is still reported by its ratio; an empty or all-zero spectrum gives
-    margin = inf, and so does a kept value whose threshold underflows to 0.
-    The cutoff is positive.  Spectra stacked along leading axes give arrays,
-    each cut at its own largest value; one spectrum gives an int and a
-    float from a plain-Python loop (a handful of values costs less that way
-    than numpy's per-call overhead), bit for bit the stacked rule's.
+    A value is kept where it exceeds cutoff * smax, smax the largest value
+    over all blocks, and the cutoff is positive; kept[b] counts block b's
+    kept values and rank = sum n_b kept[b] (sizes holds the n_b) is the
+    shadow's.  margin says how decisively the values split: the least over
+    the nonzero values of s / thresh for a kept one and thresh / s for a
+    dropped one, inf for empty or all-zero spectra and where a kept value's
+    threshold underflows to 0.  Leading axes give arrays, each item cut at
+    its own largest value; 1-D spectra give ints and a float from a
+    plain-Python loop (cheaper than numpy's per-call overhead on a handful
+    of values), bit for bit the stacked rule's.
     """
-    s = np.asarray(svals, dtype=float)
-    if s.ndim == 1:
-        return _spectrum_rank(s.tolist(), cutoff)
-    thresh = cutoff * s[..., :1]
-    kept = s > thresh
+    spectra = [np.asarray(s, dtype=float) for s in spectra]
+    if all(s.ndim == 1 for s in spectra):
+        return _spectra_rank([s.tolist() for s in spectra], sizes, cutoff)
+    values = np.concatenate(spectra, axis=-1)
+    thresh = cutoff * values.max(axis=-1, initial=0.0)[..., None]
+    kept = [np.add.reduce(s > thresh, axis=-1) for s in spectra]
     # s / thresh of a kept value and thresh / s of a dropped one, each the
     # larger of the two; a zero value (and so a zero spectrum) stays inf, and
     # a zero threshold or an overflowing ratio gives inf without a warning
-    ratios = np.empty_like(s)
+    ratios = np.empty_like(values)
     ratios.fill(np.inf)
     with np.errstate(divide="ignore", over="ignore"):
-        np.divide(thresh, s, out=ratios, where=s > 0)
-        np.divide(s, thresh, out=ratios, where=kept)
-    rank = np.add.reduce(kept, axis=-1)
+        np.divide(thresh, values, out=ratios, where=values > 0)
+        np.divide(values, thresh, out=ratios, where=values > thresh)
     margin = np.minimum.reduce(ratios, axis=-1, initial=np.inf)
-    return rank, margin
+    return sum(nb * k for nb, k in zip(sizes, kept)), margin, kept
 
 
-def _spectrum_rank(values: list, cutoff: float) -> tuple:
-    """singular_rank of one spectrum given as a list of floats."""
-    if not values:
-        return 0, math.inf
-    thresh = cutoff * values[0]
-    rank, margin = 0, math.inf
-    for v in values:
-        if v > thresh:
-            rank += 1
-            ratio = v / thresh if thresh > 0 else math.inf
-        elif v > 0:
-            ratio = thresh / v
-        else:
-            continue
-        if ratio < margin:
-            margin = ratio
-    return rank, margin
+def _spectra_rank(lists: list, sizes, cutoff: float) -> tuple:
+    """rank_rule of 1-D spectra given as lists of floats."""
+    thresh = cutoff * max((values[0] for values in lists if values), default=0.0)
+    rank, margin, kept = 0, math.inf, []
+    for values, nb in zip(lists, sizes):
+        count = 0
+        for v in values:
+            if v > thresh:
+                count += 1
+                ratio = v / thresh if thresh > 0 else math.inf
+            elif v > 0:
+                ratio = thresh / v
+            else:
+                continue
+            if ratio < margin:
+                margin = ratio
+        kept.append(count)
+        rank += nb * count
+    return rank, margin, kept
+
+
+def singular_rank(svals, cutoff: float):
+    """(rank, margin) of descending spectra (..., k): rank_rule on one block of size 1."""
+    return rank_rule([svals], (1,), cutoff)[:2]
 
 
 class Morphism:
@@ -255,6 +258,7 @@ class Morphism:
         self._embed = None
         self._svals = None
         self._block_svals = None
+        self._triples: dict = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -378,39 +382,39 @@ class Morphism:
         return self.rank_with_margin(cutoff)[0]
 
     def rank_with_margin(self, cutoff: float = 1e-10):
-        return singular_rank(self.singular_values(), cutoff)
+        self.singular_values()
+        return rank_rule(self._block_svals, self.algebra.block_sizes, cutoff)[:2]
 
-    def kept_counts(self, cutoff: float = 1e-10) -> list:
-        """Per block, how many of R_b's singular values rank_with_margin keeps.
+    def kept_svd(self, cutoff: float = 1e-10) -> list:
+        """Per block, R_b's kept singular triples (U, S, Vh), or None where it keeps none; cached.
 
-        Those above cutoff times the largest value over all blocks, counted
-        on the cached values-only spectra, so n_b times each count sums to
-        concrete_rank(cutoff).
+        How many values each block keeps is rank_rule's on the cached
+        values-only spectra, so n_b times the counts sums to
+        concrete_rank(cutoff); the triples come from one thin SVD of each
+        block that keeps any.  chain's parametrix and pseudoinverse share
+        them, so neither result depends on which of the two ran first.
         """
-        s = self.singular_values()
-        thresh = cutoff * float(s[0]) if s.size else 0.0
-        return [int(np.count_nonzero(v > thresh)) for v in self._block_svals]
+        if cutoff not in self._triples:
+            self.singular_values()
+            counts = rank_rule(self._block_svals, self.algebra.block_sizes, cutoff)[2]
+            svds = [np.linalg.svd(r, full_matrices=False) if k else None for r, k in zip(self.mats, counts)]
+            self._triples[cutoff] = [
+                None if f is None else (f.U[:, :k], f.S[:k], f.Vh[:k]) for f, k in zip(svds, counts)
+            ]
+        return self._triples[cutoff]
 
     # -- pseudoinverse and projections --------------------------------------------
 
     def pseudoinverse(self, cutoff: float = 1e-10) -> "Morphism":
-        """Moore-Penrose pseudoinverse, singular values at or below cutoff*smax dropped.
+        """Moore-Penrose pseudoinverse from the kept singular triples (kept_svd).
 
-        The pseudoinverse of each R_b is taken with the threshold set by the
-        largest singular value over all blocks, read from this call's own
-        SVDs, so a block whose values all sit below it contributes zero and
-        the singular value cache is left to singular_values.  A block with no
-        rows or no columns takes no SVD, as in block_singular_values.
+        A block that keeps no value, among them a block with no rows or no
+        columns, which takes no SVD, contributes the zero map back.
         """
-        svds = [np.linalg.svd(r, full_matrices=False) if r.size else None for r in self.mats]
-        thresh = cutoff * max((f.S[0] for f in svds if f is not None), default=0.0)
-        mats = []
-        for r, f in zip(self.mats, svds):
-            if f is None:  # no rows or no columns: no SVD, and the zero map back
-                mats.append(np.zeros(r.shape[::-1], dtype=complex))
-                continue
-            keep = f.S > thresh
-            mats.append((f.Vh[keep].conj().T / f.S[keep]) @ f.U[:, keep].conj().T)
+        mats = [
+            np.zeros(r.shape[::-1], dtype=complex) if t is None else (t[2].conj().T / t[1]) @ t[0].conj().T
+            for r, t in zip(self.mats, self.kept_svd(cutoff))
+        ]
         return Morphism(self.target, self.source, mats)
 
     def range_decomposition(self, cutoff: float = 1e-10):

@@ -341,7 +341,9 @@ def weighted_symbol_laplacian_check(
 
     Both weights must be nonzero; at an exact degree the two summands are
     invertible on complementary orthogonal ranges, so the weighted sum is an
-    automorphism for every nonzero pair.
+    automorphism for every nonzero pair.  The operator is invertible on the
+    module where its rank (hom.rank_rule) reaches the module's dimension,
+    which the zero module always does.
     """
     lam, mu = complex(lam), complex(mu)
     if lam == 0 or mu == 0:
@@ -349,14 +351,15 @@ def weighted_symbol_laplacian_check(
     s_in = sample.chain.differential(i - 1)
     s_out = sample.chain.differential(i)
     op = lam * (s_out.adjoint() @ s_out) + mu * (s_in @ s_in.adjoint())
-    smin, smax = map(float, _restricted_min_singular(op.singular_values(), op.source.concrete_dim))
+    dim = op.source.concrete_dim
+    smin, smax = map(float, _restricted_min_singular(op.singular_values(), dim))
     return {
         "degree": i,
         "lam": lam,
         "mu": mu,
         "min_singular": smin,
         "scale": smax,
-        "invertible": smax > 0 and smin > cutoff * smax,
+        "invertible": op.concrete_rank(cutoff) >= dim,
     }
 
 

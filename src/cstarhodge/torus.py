@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import AlgebraElement, _freeze
 from .chain import block_free_rank, laplacian_mats
 from .errors import GeometryMismatch, HypothesisViolated, SpecMismatch, ValidationError
-from .hom import _largest_singular, block_singular_values, identity_morphism, merged_singular_values, singular_rank
+from .hom import _largest_singular, block_singular_values, identity_morphism, rank_rule
 from .module import MAX_MODULE_DIM, ModuleSpec, ModuleVector
 from .symbol import _onto_target, _scalar_mats, de_rham_symbol_coeffs, exterior_basis, form_fiber
 
@@ -290,8 +290,15 @@ class TorusSection:
 
 
 def _phase_matrix(geometry: TorusGeometry, points: np.ndarray) -> np.ndarray:
-    """exp(2 pi i <x, q>) for every point x (rows) and mode q (columns)."""
-    return np.exp(2j * np.pi * (points @ geometry.modes.T))
+    """exp(2 pi i <x, q>) for every point x (rows) and mode q (columns).
+
+    The phases are scaled in place in the imaginary part of the array exp
+    overwrites, so besides the result only the float product is held.
+    """
+    z = np.zeros((len(points), len(geometry.modes)), dtype=complex)
+    z.imag = points @ geometry.modes.T
+    z.imag *= 2 * np.pi
+    return np.exp(z, out=z)
 
 
 def _fiber_norms_sq(stacks) -> np.ndarray:
@@ -758,12 +765,14 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
     holds as many modes as keep a stack of the widest form fiber within
     MAX_MODULE_DIM^2 entries, one largest Laplacian, so memory does not grow
     with the band.
-    Each mode's Laplacian is checked against the scalar multiplier
-    4 pi^2 |q|^2, and its nullity, cut at that mode's own largest singular
-    value, is accumulated; only the zero mode may contribute.  D D = 0 is
-    reported as the largest raw norm of consecutive symbol maps.  Reports the
-    concrete harmonic dimension, the free rank from the zero mode's per-block
-    nullities, and the expected binomial(n, k) * fiber values.
+    A mode's nullity in degree k is dim - rank D_{k-1} - rank D_k, each rank
+    hom.rank_rule's on that mode's spectrum of the differential, from one
+    values-only SVD stack per differential and block (none for D_{-1} and
+    D_n); only the zero mode may contribute, and its per-block count gives
+    the free rank.  The Laplacian is formed only to check it against the
+    scalar multiplier 4 pi^2 |q|^2, and D D = 0 is reported as the largest
+    raw norm of consecutive symbol maps.  The expected values are
+    binomial(n, k) times the fiber's.
     """
     n, r, sizes = geometry.dimension, geometry.fiber.rank, geometry.algebra.block_sizes
     modes, lam = geometry.modes, geometry.laplacian_values
@@ -795,23 +804,21 @@ def harmonic_rank_report(geometry: TorusGeometry, cutoff: float = 1e-10) -> list
         maps = [_scalar_mats(c, sizes) for c in coeffs]
         # D_0 .. D_{n-1} land in fibers[1:], each cut to its target's projection
         maps[1:-1] = [_onto_target(x, fib) for x, fib in zip(maps[1:-1], fibers[1:])]
+        cuts = [rank_rule(block_singular_values(x), sizes, cutoff) for x in maps]
         for k, (fib, rep) in enumerate(zip(fibers, reports)):
-            lap = laplacian_mats(maps[k], maps[k + 1])
-            blocks = block_singular_values(lap)
-            svals = merged_singular_values(blocks, sizes)
-            nullity = fib.concrete_dim - singular_rank(svals, cutoff)[0]
+            (rank_in, _, kept_in), (rank_out, _, kept_out) = cuts[k], cuts[k + 1]
+            nullity = fib.concrete_dim - rank_in - rank_out
             rep["harmonic_dim"] += int(nullity.sum())
             rep["kernel_modes"] += [tuple(int(x) for x in q) for q in qs[nullity != 0]]
+            lap = laplacian_mats(maps[k], maps[k + 1])
             residual = [x - lam[part, None, None] * e for x, e in zip(lap, idents[k])]
             rep["max_multiplier_residual"] = max(rep["max_multiplier_residual"], float(_largest_singular(residual).max()))
             if k + 1 < n:
                 twice = [a @ b for a, b in zip(maps[k + 1], maps[k + 2])]
                 rep["max_square_residual"] = max(rep["max_square_residual"], float(_largest_singular(twice).max()))
             if start <= zero < start + run:
-                # the zero mode's nullity in each block, cut as svals is
                 j = zero - start
-                cut = cutoff * svals[j, :1]
-                dims = [d - np.count_nonzero(v[j] > cut) for d, v in zip(fib.block_ranks, blocks)]
+                dims = [d - a[j] - b[j] for d, a, b in zip(fib.block_ranks, kept_in, kept_out)]
                 rep["free_rank"] = block_free_rank(dims, sizes)
     for rep in reports:
         rep["passed"] = (
@@ -870,7 +877,9 @@ def regularity_report(
     fourier_norm(u, t + 2) <= C * fourier_norm(f, t) for every t.  The kernel
     of the Laplacian seen from the t-norm is computed per t as the modes
     whose normalized action 4 pi^2 |q|^2 (1+|q|^2)^{(t-2)/2} / (1+|q|^2)^{t/2}
-    vanishes; the support must be the zero mode for every t.  This is
+    vanishes: each mode a block of size 1 whose one value hom.rank_rule
+    drops, cut at cutoff times the largest action.  The support must be the
+    zero mode for every t.  This is
     regularity_reports on one right-hand side.
     """
     return regularity_reports(geometry, degree, [f], t_values, cutoff)[0]
@@ -920,13 +929,8 @@ def regularity_reports(
     for t in t_values:
         action = lam * (1.0 + qsq) ** ((t - 2.0) / 2.0)
         action /= (1.0 + qsq) ** (t / 2.0)
-        scale = action.max() if action.size else 0.0
-        kernel = [
-            tuple(int(x) for x in q)
-            for q, a in zip(geometry.modes, action)
-            if a <= cutoff * max(scale, 1.0)
-        ]
-        supports[float(t)] = kernel
+        kept = rank_rule(action[:, None], [1] * len(action), cutoff)[2]
+        supports[float(t)] = [tuple(int(x) for x in q) for q, k in zip(geometry.modes, kept) if not k]
     values = list(supports.values())
     agree = all(v == values[0] for v in values)
     zero_mode = values[0] == [tuple([0] * geometry.dimension)] if values else False

@@ -187,9 +187,42 @@ def test_generated_complex_structure():
                 assert nonzero.min() > 0.2
 
 
+def _block_trace_dim(f: Morphism) -> float:
+    """sum_b n_b trace R_b: the shadow's trace of a module map."""
+    return sum(nb * np.trace(r).real for nb, r in zip(f.algebra.block_sizes, f.mats))
+
+
+@pytest.mark.parametrize("side", [1.0 + 1e-3, 1.0 - 1e-3], ids=["kept", "dropped"])
+@pytest.mark.parametrize("frame", range(3))
+def test_every_rank_reader_agrees_at_the_cut(side, frame):
+    # D: A^2 -> A^3 over (1, 2) has singular values 1 and 0.5 in block (1,)
+    # and 0.7, 0.3, 0.2 and one planted at cutoff * smax * (1 +- 1e-3) in
+    # block (2,), seen in a random unitary frame.  The rule keeps the planted
+    # value or drops it, and every reader of the rank says the same
+    alg, cutoff = AlgebraSpec((1, 2)), 1e-10
+    src, tgt = ModuleSpec(alg, 2), ModuleSpec(alg, 3)
+    low, high = np.zeros((2, 3)), np.zeros((4, 6))
+    low[[0, 1], [0, 1]] = 1.0, 0.5
+    high[[0, 1, 2, 3], [0, 1, 2, 3]] = 0.7, 0.3, 0.2, cutoff * side
+    rng = rng_for(28, "rank-rule-frames", frame)
+    u_src, u_tgt = random_unitary_morphism(src, rng), random_unitary_morphism(tgt, rng)
+    d = u_tgt @ Morphism(src, tgt, [low, high]) @ u_src.adjoint()
+    want = 2 + 2 * (4 if side > 1 else 3)
+
+    rank, margin = d.rank_with_margin(cutoff)
+    assert rank == want and 1.0 < margin < 1.01
+    kept = sum(nb * len(t[1]) for nb, t in zip(alg.block_sizes, d.kept_svd(cutoff)) if t is not None)
+    assert kept == want
+    assert round(_block_trace_dim(d.pseudoinverse(cutoff) @ d)) == want
+    cx = ChainComplex([src, tgt], [d])
+    assert src.concrete_dim - round(_block_trace_dim(cx.parametrix(0, cutoff).projector)) == want
+    assert src.concrete_dim - cx.kernel_intersection_check(0, cutoff)["intersection_nullity"] == want
+
+
 def test_singular_values_do_not_depend_on_call_order():
-    # the pseudoinverse takes its own SVDs, so it cannot fill the cache that
-    # rank decisions and their margins read
+    # the pseudoinverse reads the values-only spectra that rank decisions
+    # and their margins read, and caches its thin SVDs apart from them
+    # (Morphism.kept_svd), so which ran first changes no value
     for k in range(40):
         pinv_first, _ = random_complex(rng_for(6, "svals-order", k))
         svals_first, _ = random_complex(rng_for(6, "svals-order", k))

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import null_space
 
 from cstarhodge.algebra import AlgebraSpec
+from cstarhodge.chain import ChainComplex
 from cstarhodge.errors import SpecMismatch
 from cstarhodge.hom import (
     Morphism,
@@ -123,7 +124,11 @@ def test_pseudoinverse_is_module_map():
 def test_pseudoinverse_takes_no_svd_of_an_empty_block(monkeypatch):
     # a block with no rows or no columns gives the zero (cols, rows) block
     # without an SVD; every other block is bit for bit the former formula,
-    # one SVD per block cut at cutoff * the largest value over all blocks
+    # one SVD per block cut at cutoff * the largest value over all blocks.
+    # A cold map takes each non-empty block's values-only spectrum, which
+    # decides the kept counts, and its thin SVD for the kept triples; both
+    # are cached, so a second pseudoinverse and the parametrix of a complex
+    # with the map as its differential take no further SVD
     alg = AlgebraSpec((1, 2))
     rng = rng_for(15, "hom-pinv-empty", 0)
     svd = np.linalg.svd
@@ -142,8 +147,14 @@ def test_pseudoinverse_takes_no_svd_of_an_empty_block(monkeypatch):
         calls.clear()
         monkeypatch.setattr(np.linalg, "svd", counting)
         g = t.pseudoinverse()
+        assert len(calls) == (2 * len(alg.block_sizes) if m * n else 0)
+        again = t.pseudoinverse()
+        assert all(np.array_equal(a, b) for a, b in zip(again.mats, g.mats))
+        cx = ChainComplex([t.source, t.target], [t])
+        cx.parametrix(0)
+        cx.parametrix(1)
+        assert len(calls) == (2 * len(alg.block_sizes) if m * n else 0)
         monkeypatch.undo()
-        assert len(calls) == (len(alg.block_sizes) if m * n else 0)
         for r, got in zip(t.mats, g.mats):
             assert got.shape == r.shape[::-1]
             assert np.array_equal(got, next(want) if r.size else np.zeros(got.shape))

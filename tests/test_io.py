@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstarhodge import cli, serial
+from cstarhodge import chain, cli, serial
 from cstarhodge.algebra import AlgebraSpec
 from cstarhodge.chain import ChainComplex, random_complex
 from cstarhodge.cli import main
@@ -292,6 +292,26 @@ def test_cli_linalg_failure_names_the_degree(tmp_path, monkeypatch, capsys):
         assert run_cli(cmd + [str(path)])[0] == 2
         assert f"numerical failure: degree {degree}: SVD did not converge" in capsys.readouterr().err
     assert run_cli(["parametrix", "--degree", "0", str(path)])[0] == 0
+
+
+def test_cli_linalg_failure_names_the_chain_map_differential(tmp_path, monkeypatch, capsys):
+    # ranks 1, 3, 2: D_1's chain-map residual stack is (4, 3, 2), and its
+    # norm fails as an SVD that does not converge would
+    mods = [ModuleSpec(AlgebraSpec((1,)), r) for r in (1, 3, 2)]
+    d1 = random_morphism(mods[1], mods[2], rng_for(7, "io-linalg-chain-map", 0))
+    path = tmp_path / "cx.json"
+    serial.save_complex(path, ChainComplex(mods, [Morphism.zero(mods[0], mods[1]), d1]))
+    real = chain.certified_norms
+
+    def failing(mats, limit):
+        if mats[0].shape == (4, 3, 2):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(mats, limit)
+
+    monkeypatch.setattr(chain, "certified_norms", failing)
+    assert run_cli(["hodge", str(path)])[0] == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: chain map at differential 1: SVD did not converge" in err
 
 
 @pytest.mark.parametrize(

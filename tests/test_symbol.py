@@ -13,6 +13,7 @@ from cstarhodge.errors import (
     SpecMismatch,
     ZeroCoefficient,
 )
+from cstarhodge.hom import Morphism
 from cstarhodge.module import ModuleSpec
 from cstarhodge import symbol
 from cstarhodge.symbol import (
@@ -138,6 +139,22 @@ def test_weighted_laplacian():
         weighted_symbol_laplacian_check(sample, 1, 0.0, 1.0)
     with pytest.raises(ZeroCoefficient):
         weighted_symbol_laplacian_check(sample, 1, 1.0, 0.0)
+
+
+def test_weighted_laplacian_on_the_zero_module_is_invertible():
+    # U = A^2 -> 0 -> A over (1, 2) with zero maps: degree 1 is the zero
+    # module, where every operator is invertible; the weighted check agrees
+    # with exactness_check and elliptic_scan there (rank 0 >= dimension 0)
+    alg = AlgebraSpec((1, 2))
+    mods = [ModuleSpec(alg, r) for r in (2, 0, 1)]
+    sample = symbol.SymbolSample("zero", mods, [Morphism.zero(a, b) for a, b in zip(mods, mods[1:])])
+    rep = weighted_symbol_laplacian_check(sample, 1, 1.0, -2.0j)
+    assert rep["invertible"]
+    assert rep["min_singular"] == math.inf and rep["scale"] == 0.0
+    assert exactness_check(sample, 1).exact
+    assert elliptic_scan([sample]).records[0]["degrees"][1].exact
+    # a nonzero module under zero maps is not
+    assert not weighted_symbol_laplacian_check(sample, 0, 1.0, 1.0)["invertible"]
 
 
 def test_empty_scan_rejected():

@@ -875,6 +875,25 @@ def test_fiber_norms_allocate_less_than_the_stack():
         assert extra <= 0.75 * b.nbytes
 
 
+def test_phase_matrix_holds_one_float_copy_besides_the_result():
+    # n = 2, band 4 on a 113^2 grid: the product is scaled in place and exp
+    # overwrites the one complex array, so the peak is the 15.8 MiB result
+    # and one float copy, not exp's input and output side by side (twice the
+    # result); the values are 2j pi times the product bit for bit
+    geo = TorusGeometry(2, 4, SCALAR)
+    axis = np.arange(-56, 57) / 113
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        got = torus._phase_matrix(geo, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (113**2, 81)
+    assert peak <= 1.55 * got.nbytes
+    assert got.tobytes() == np.exp(2j * np.pi * (pts @ geo.modes.T)).tobytes()
+
+
 def _demo_report(sections, suite="all"):
     from cstarhodge.cli import main
 
