@@ -26,9 +26,12 @@ maps between free modules skip that check.  A section lists each mode at
 most once: a second coefficient for a mode is a fault of its keys, named
 with the first one.  A module whose rank times the
 algebra dimension exceeds MAX_MODULE_DIM is refused before anything is
-allocated for it.  Saving writes every float in its shortest round-trip
-form, with one tolist() per block of a map or of a degree's stack, so
-save/load round-trips are exact.
+allocated for it.  A save writes compact JSON (json's C encoder, sorted
+keys, separators (",", ":")), every float in its shortest round-trip form
+from one tolist() per block of a map or of a degree's stack, so save/load
+round-trips are exact; indented files of earlier versions load the same.
+It refuses a non-finite number as loading would, and writes nothing.
+Reports are rendered by dump_json.
 
 The cyclic garbage collector stays off for the whole life of a file's
 parsed tree: load_complex, load_sample_set and load_section parse, convert
@@ -672,16 +675,22 @@ def load_json(path: str):
         raise ParseError(f"{path}: invalid JSON: {e}") from e
 
 
-def _save(path: str, to_data, obj):
-    """Write to_data(obj) as JSON, the tree built and rendered with the collector paused."""
+def _save(path: str, to_data, from_data, obj):
+    """Write to_data(obj) as compact JSON, the tree built and rendered with the collector paused."""
     with _collector_paused():
-        text = dump_json(to_data(obj))
+        data = to_data(obj)
+        try:
+            text = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_numpy_scalar)
+        except ValueError:  # a non-finite number: from_data raises the ValidationError naming it
+            from_data(data)
+            raise
+        del data  # released inside the pause, so no collector pass walks the tree
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 def save_complex(path: str, cx: ChainComplex):
-    _save(path, complex_to_data, cx)
+    _save(path, complex_to_data, complex_from_data, cx)
 
 
 def load_complex(path: str, tol: float = 1e-9) -> ChainComplex:
@@ -690,7 +699,7 @@ def load_complex(path: str, tol: float = 1e-9) -> ChainComplex:
 
 
 def save_sample_set(path: str, samples):
-    _save(path, sample_set_to_data, samples)
+    _save(path, sample_set_to_data, sample_set_from_data, samples)
 
 
 def load_sample_set(path: str, tol: float = 1e-9) -> SampleSet:
@@ -699,7 +708,7 @@ def load_sample_set(path: str, tol: float = 1e-9) -> SampleSet:
 
 
 def save_section(path: str, s: TorusSection):
-    _save(path, section_to_data, s)
+    _save(path, section_to_data, section_from_data, s)
 
 
 def load_section(path: str) -> TorusSection:

@@ -25,6 +25,7 @@ Laplacian collapses to (2*pi*|xi|)^2 times the identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -86,6 +87,23 @@ def exterior_basis(n: int, k: int) -> list:
     return list(combinations(range(n), k))
 
 
+@functools.cache
+def _wedge_terms(n: int, k: int) -> tuple:
+    """wedge_matrix(n, k, .)'s shape and terms, built once: read-only arrays (rows, cols, js, signs).
+
+    Term (a, b, j, sign): e_j wedge (source slot b) = sign * (target slot a); no two share a slot pair.
+    """
+    src = exterior_basis(n, k)
+    tgt = {s: a for a, s in enumerate(exterior_basis(n, k + 1))}
+    terms = [
+        (tgt[tuple(sorted(subset + (j,)))], b, j, (-1) ** sum(1 for x in subset if x < j))
+        for b, subset in enumerate(src)
+        for j in range(n)
+        if j not in subset
+    ]
+    return (len(tgt), len(src)), tuple(_freeze(np.array(t)) for t in zip(*terms))
+
+
 def wedge_matrix(n: int, k: int, xi) -> np.ndarray:
     """Matrix of (xi wedge .) from k-forms to (k+1)-forms.
 
@@ -95,19 +113,11 @@ def wedge_matrix(n: int, k: int, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape[-1:] != (n,):
         raise ValueError(f"covector of shape {xi.shape}, expected ({n},)")
-    src = exterior_basis(n, k)
-    tgt = {s: a for a, s in enumerate(exterior_basis(n, k + 1))}
-    # (target slot, source slot, j, sign) of each term; no two share a slot pair
-    terms = [
-        (tgt[tuple(sorted(subset + (j,)))], b, j, (-1) ** sum(1 for x in subset if x < j))
-        for b, subset in enumerate(src)
-        for j in range(n)
-        if j not in subset
-    ]
-    out = np.zeros(xi.shape[:-1] + (len(tgt), len(src)), dtype=complex)
+    shape, terms = _wedge_terms(n, k)
+    out = np.zeros(xi.shape[:-1] + shape, dtype=complex)
     if terms:
-        rows, cols, js, signs = (list(t) for t in zip(*terms))
-        out[..., rows, cols] += np.array(signs) * xi[..., js]
+        rows, cols, js, signs = terms
+        out[..., rows, cols] += signs * xi[..., js]
     return out
 
 

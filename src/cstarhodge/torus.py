@@ -216,12 +216,12 @@ class TorusSection:
         return ModuleVector(self.geometry.form_fiber(self.degree), [b[idx] for b in self.rows])
 
     def support(self, tol: float = 0.0) -> list:
-        """Modes carrying a coefficient above tol (in max-entry magnitude)."""
+        """Modes carrying a coefficient above tol (in max-entry magnitude) or a NaN entry."""
         mags = np.zeros(self.geometry.num_modes)
         for b in self.rows:
             if b.size:
                 mags = np.maximum(mags, np.abs(b).reshape(self.geometry.num_modes, -1).max(axis=1))
-        return [tuple(q) for q, m in zip(self.geometry.modes, mags) if m > tol]
+        return [tuple(q) for q, m in zip(self.geometry.modes, mags) if not m <= tol]
 
     def _require_compatible(self, other: "TorusSection"):
         if self.geometry != other.geometry or self.degree != other.degree:

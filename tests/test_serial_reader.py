@@ -12,8 +12,11 @@ import copy
 import gc
 import io
 import json
+import os
 import re
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -638,15 +641,15 @@ def _collector(collecting: bool):
         (gc.enable if enabled else gc.disable)()
 
 
-def _spy(monkeypatch, name: str, seen: list):
-    """Replace serial.<name> by a call that records gc.isenabled() on entry."""
-    real = getattr(serial, name)
+def _spy(monkeypatch, name: str, seen: list, owner=serial):
+    """Replace owner.<name> by a call that records gc.isenabled() on entry."""
+    real = getattr(owner, name)
 
     def spy(*args, **kwargs):
         seen.append(gc.isenabled())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(serial, name, spy)
+    monkeypatch.setattr(owner, name, spy)
 
 
 def _not_a_complex_text() -> str:
@@ -690,7 +693,7 @@ def test_saves_render_with_the_collector_paused(tmp_path, monkeypatch, collectin
         (serial.save_section, serial.section_from_data(_section_data())),
     ]
     seen = []
-    _spy(monkeypatch, "dump_json", seen)
+    _spy(monkeypatch, "dumps", seen, owner=serial.json)  # the renderer of files
     with _collector(collecting):
         for save, item in items:
             save(str(tmp_path / "out.json"), item)
@@ -729,3 +732,133 @@ def test_no_collector_pass_starts_while_a_sample_set_is_converted(tmp_path, monk
             gc.callbacks.remove(hook)
             gc.set_threshold(*thresholds)
     assert starts and not any(starts)
+
+
+# -- saved files: compact text, indented files of earlier versions, non-finite numbers ----------
+
+SAVERS = {"complex": serial.save_complex, "samples": serial.save_sample_set, "section": serial.save_section}
+TO_DATA = {"complex": serial.complex_to_data, "samples": serial.sample_set_to_data, "section": serial.section_to_data}
+
+
+def _contents(obj) -> list:
+    """What an object of a file format holds: modules, tags, geometry, and every array's shape and bytes."""
+    def module(m):
+        return m.rank, m.projection and [(p.shape, p.tobytes()) for p in m.projection]
+
+    def arrays(mats):
+        return [(a.shape, a.tobytes()) for a in mats]
+
+    if isinstance(obj, ChainComplex):
+        return [module(m) for m in obj.modules] + [arrays(d.mats) for d in obj.diffs]
+    if isinstance(obj, SampleSet):
+        return [obj.tags] + [module(m) for m in obj.fibers] + [arrays(st) for st in obj.maps]
+    geo = obj.geometry
+    return [geo.dimension, geo.band_limit, geo.algebra.block_sizes, module(geo.fiber), obj.degree, arrays(obj.rows)]
+
+
+@pytest.mark.parametrize("fmt", sorted(SAVERS))
+def test_files_are_compact_and_indented_files_load_the_same(tmp_path, fmt):
+    obj = getattr(serial, FROM_DATA[fmt])(BUILDERS[fmt]())
+    data = TO_DATA[fmt](obj)
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    SAVERS[fmt](str(compact), obj)
+    assert compact.read_text() == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    indented.write_text(serial.dump_json(data))  # the layout saves wrote before files were compact
+    assert json.loads(indented.read_text()) == json.loads(compact.read_text())
+    assert _contents(LOADERS[fmt](str(compact))) == _contents(LOADERS[fmt](str(indented))) == _contents(obj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    blocks=st.sampled_from([(1,), (2,), (1, 2)]),
+    ranks=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    count=st.integers(1, 3),
+)
+def test_save_load_round_trip_is_exact(data, blocks, ranks, count):
+    algebra = AlgebraSpec(blocks)
+    mods = [ModuleSpec(algebra, r) for r in ranks]
+    maps = [
+        Morphism(*mods, [_draw_matrix(data, ranks[0] * nb, ranks[1] * nb) for nb in blocks])
+        for _ in range(count)
+    ]
+    geo = TorusGeometry(1, 1, ModuleSpec(algebra, max(1, ranks[0])))
+    m = geo.form_fiber(0).rank
+    section = TorusSection(geo, 0, [np.stack([_draw_matrix(data, nb, m * nb) for _ in range(geo.num_modes)]) for nb in blocks])
+    # a mode whose entries all read as zero is not written and loads as +0.0
+    kept = [geo.mode_index[q] for q in section.support(tol=0.0)]
+    rows = [np.zeros_like(r) for r in section.rows]
+    for r, written in zip(rows, section.rows):
+        r[kept] = written[kept]
+    cases = [
+        ("complex", ChainComplex(mods, maps[:1]), None),
+        ("samples", SampleSet.of([SymbolSample(f"s{j}", mods, [t]) for j, t in enumerate(maps)]), None),
+        ("section", section, TorusSection(geo, 0, rows)),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.json")
+        for fmt, obj, expected in cases:
+            SAVERS[fmt](path, obj)
+            assert _contents(LOADERS[fmt](path)) == _contents(expected or obj)
+
+
+def _refused_as_loading_refuses(tmp_path, fmt, obj) -> str:
+    """The save's ValidationError for obj, the one loading its data as json.dumps writes it gives; no file is written."""
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(TO_DATA[fmt](obj)))  # with NaN and Infinity literals
+    with pytest.raises(ValidationError) as loaded:
+        LOADERS[fmt](str(plain))
+    path = tmp_path / "saved.json"
+    with pytest.raises(ValidationError) as saved:
+        SAVERS[fmt](str(path), obj)
+    assert str(saved.value) == str(loaded.value)
+    assert not path.exists()
+    return str(saved.value)
+
+
+def test_a_complex_with_an_infinite_entry_is_not_saved(tmp_path):
+    mods = [ModuleSpec(ALGEBRA, 1), ModuleSpec(ALGEBRA, 1)]
+    mats = [np.zeros((1, 1), complex), np.zeros((2, 2), complex)]
+    mats[1][1, 0] = complex(0.0, np.inf)
+    cx = ChainComplex(mods, [Morphism(*mods, mats)])
+    message = _refused_as_loading_refuses(tmp_path, "complex", cx)
+    assert message == "differentials[0][0][0].block1[1][0]: expected a finite number, got inf"
+
+
+def test_a_sample_set_with_an_infinite_entry_is_not_saved(tmp_path):
+    mods = [ModuleSpec(AlgebraSpec((1,)), 1)] * 2
+    samples = [
+        SymbolSample(f"s{j}", mods, [Morphism(*mods, [np.array([[v]], dtype=complex)])])
+        for j, v in enumerate([1.0, 2.0, -np.inf, np.inf])
+    ]
+    message = _refused_as_loading_refuses(tmp_path, "samples", SampleSet.of(samples))
+    assert message == "samples[2].maps[0][0][0].block0[0][0]: expected a finite number, got -inf"
+
+
+def test_a_section_with_a_nan_coefficient_is_not_saved(tmp_path):
+    # support() once compared NaN > tol as false, so the save dropped the
+    # mode and the file loaded with that coefficient zero
+    geo = TorusGeometry(1, 1, ModuleSpec(AlgebraSpec((1,)), 1))
+    rows = np.zeros((geo.num_modes, 1, 1), dtype=complex)
+    rows[geo.mode_index[(-1,)]] = np.nan
+    rows[geo.mode_index[(1,)]] = 1.0
+    message = _refused_as_loading_refuses(tmp_path, "section", TorusSection(geo, 0, [rows]))
+    assert message == "coeffs[0].value[0].block0[0][0]: expected a finite number, got nan"
+
+
+def test_a_sample_set_save_peaks_below_8_mib(tmp_path):
+    # 64 de Rham samples at n = 3 on a rank 2 fiber over (2, 1): the tree and
+    # the 0.3 MB compact text peak near 6 MiB; the indented rendering of the
+    # same tree (1.5 MB of text, a string per number) peaked at 11.25 MiB
+    fiber = ModuleSpec(AlgebraSpec((2, 1)), 2)
+    covectors = np.random.default_rng(0).standard_normal((64, 3))
+    samples = SampleSet.of([de_rham_symbol_sample(3, fiber, xi, tag=f"xi{j:02d}") for j, xi in enumerate(covectors)])
+    path = str(tmp_path / "samples.json")
+    serial.save_sample_set(path, samples)  # a first save outside the trace
+    tracemalloc.start()
+    try:
+        serial.save_sample_set(path, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -48,6 +48,47 @@ def test_wedge_square_zero():
             assert np.abs(w2 @ w1).max() < 1e-14
 
 
+def _wedge_oracle(n: int, k: int, xi) -> np.ndarray:
+    """wedge_matrix as built from a fresh basis, dict and term list on every call."""
+    xi = np.asarray(xi, dtype=complex)
+    src = exterior_basis(n, k)
+    tgt = {s: a for a, s in enumerate(exterior_basis(n, k + 1))}
+    terms = [
+        (tgt[tuple(sorted(subset + (j,)))], b, j, (-1) ** sum(1 for x in subset if x < j))
+        for b, subset in enumerate(src)
+        for j in range(n)
+        if j not in subset
+    ]
+    out = np.zeros(xi.shape[:-1] + (len(tgt), len(src)), dtype=complex)
+    if terms:
+        rows, cols, js, signs = (list(t) for t in zip(*terms))
+        out[..., rows, cols] += np.array(signs) * xi[..., js]
+    return out
+
+
+def test_wedge_matrix_matches_the_per_call_construction():
+    # bit for bit, signed zeros included, for every degree up to k = n (no
+    # (n+1)-forms, no rows), single and stacked, real and complex covectors
+    rng = rng_for(5, "symbol-wedge-oracle", 0)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            covectors = [
+                rng.standard_normal(n),
+                -np.zeros(n),
+                rng.standard_normal((3, 2, n)),
+                rng.standard_normal((4, 2 * n)).view(complex),
+            ]
+            for xi in covectors:
+                got, want = wedge_matrix(n, k, xi), _wedge_oracle(n, k, xi)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            shape, terms = symbol._wedge_terms(n, k)
+            assert shape == (math.comb(n, k + 1), math.comb(n, k))
+            assert len(terms) == (4 if k < n else 0)
+            assert not any(t.flags.writeable for t in terms)
+    with pytest.raises(ValueError, match="read-only"):
+        symbol._wedge_terms(3, 1)[1][0][0] = 0
+
+
 def test_wedge_signs_n2():
     # e0 wedge e1 = -(e1 wedge e0) on 1-forms of the plane
     w = wedge_matrix(2, 1, np.array([1.0, 0.0]))  # xi = e0 acting on {e0, e1}
